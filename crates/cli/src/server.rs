@@ -80,10 +80,12 @@ use crate::proto::{
     WireEncoding, MAX_BATCH, PROTO_VERSION,
 };
 use crate::{CliError, EXIT_BUDGET, EXIT_ERROR};
-use bfhrf::{Comparator, CoreError, FrozenComparator, RunBudget, RunGuard};
-use phylo::{parse_newick_readonly, BipartitionScratch, TaxonSet, Tree};
+use bfhrf::guard::isolate;
+use bfhrf::{CoreError, QueryScore, RunBudget, RunGuard};
+use phylo::{parse_newick_readonly, BipartitionScratch, SplitBatch, TaxonSet, Tree};
 use phylo_index::{Catalog, Index, PinnedCollection, QueryView, DEFAULT_COLLECTION};
 use phylo_obs::{expose, Counter, Gauge, Histogram};
+use rayon::prelude::*;
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, BufWriter, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
@@ -697,72 +699,56 @@ fn request_guard(state: &ServeState) -> RunGuard {
     })
 }
 
-/// Parse the request's Newick payloads against a frozen namespace (unknown
-/// labels are request errors, not namespace growth). Read-only resolution:
-/// no per-request namespace clone. `base` offsets the tree index in error
-/// messages when parsing a chunk of a larger batch.
-fn parse_payload_trees_from(
-    taxa: &TaxonSet,
-    items: &[String],
-    base: usize,
-) -> Result<Vec<Tree>, ReqError> {
-    items
-        .iter()
-        .enumerate()
-        .map(|(i, text)| {
-            parse_newick_readonly(text, taxa)
-                .map_err(|e| ReqError::new(format!("tree {}: {e}", base + i)))
-        })
-        .collect()
-}
-
-/// Decode the request's base64-wrapped binary tree records against a
-/// frozen namespace. The records carry server-namespace taxon ids (the
-/// client fetched them with the `taxa` op), so decode is a pure structural
-/// check — no label resolution at all.
-fn decode_payload_trees_from(
-    taxa: &TaxonSet,
-    items: &[String],
-    base: usize,
-) -> Result<Vec<Tree>, ReqError> {
-    items
-        .iter()
-        .enumerate()
-        .map(|(i, text)| {
-            let bytes = phylo_wire::b64::decode(text)
-                .map_err(|e| ReqError::new(format!("tree {}: {e}", base + i)))?;
-            phylo_wire::decode_tree_exact(&bytes, taxa.len())
-                .map_err(|e| ReqError::new(format!("tree {}: {e}", base + i)))
-        })
-        .collect()
-}
-
-/// Turn one chunk of tree payloads into [`Tree`]s under the connection's
-/// negotiated encoding, recording the decode time under
-/// `wire_decode_ns{encoding}`.
-fn payload_trees_chunk(
-    state: &ServeState,
-    enc: WireEncoding,
-    taxa: &TaxonSet,
-    items: &[String],
-    base: usize,
-) -> Result<Vec<Tree>, ReqError> {
-    let start = Instant::now();
-    let trees = match enc {
-        WireEncoding::Newick => parse_payload_trees_from(taxa, items, base),
-        WireEncoding::Bin => decode_payload_trees_from(taxa, items, base),
-    }?;
-    state.metrics.wire_decode[enc.index()].record_duration(start.elapsed());
-    Ok(trees)
-}
-
+/// Turn a mutation's tree payloads into [`Tree`]s against a frozen
+/// namespace under the connection's negotiated encoding, recording the
+/// decode time under `wire_decode_ns{encoding}`. Newick labels resolve
+/// read-only (unknown labels are request errors, not namespace growth);
+/// binary records carry server-namespace taxon ids (the client fetched
+/// them with the `taxa` op), so their decode is a pure structural check.
 fn payload_trees(
     state: &ServeState,
     enc: WireEncoding,
     taxa: &TaxonSet,
     items: &[String],
 ) -> Result<Vec<Tree>, ReqError> {
-    payload_trees_chunk(state, enc, taxa, items, 0)
+    let start = Instant::now();
+    let trees = items
+        .iter()
+        .enumerate()
+        .map(|(i, text)| {
+            let err = |e: &dyn std::fmt::Display| ReqError::new(format!("tree {i}: {e}"));
+            match enc {
+                WireEncoding::Newick => parse_newick_readonly(text, taxa).map_err(|e| err(&e)),
+                WireEncoding::Bin => {
+                    let bytes = phylo_wire::b64::decode(text).map_err(|e| err(&e))?;
+                    phylo_wire::decode_tree_exact(&bytes, taxa.len()).map_err(|e| err(&e))
+                }
+            }
+        })
+        .collect::<Result<Vec<_>, _>>()?;
+    state.metrics.wire_decode[enc.index()].record_duration(start.elapsed());
+    Ok(trees)
+}
+
+/// Query `i`'s split batch, straight from its payload in one fused
+/// decode+extract pass: Newick text through the streaming parser, or a
+/// base64 phylo-wire record through the record decoder. No [`Tree`] is
+/// built; errors match what parsing or decoding the tree would report.
+fn payload_splits<'s>(
+    enc: WireEncoding,
+    taxa: &TaxonSet,
+    text: &str,
+    i: usize,
+    scratch: &'s mut BipartitionScratch,
+) -> Result<SplitBatch<'s>, ReqError> {
+    let err = |e: &dyn std::fmt::Display| ReqError::new(format!("tree {i}: {e}"));
+    match enc {
+        WireEncoding::Newick => scratch.batch_newick(text, taxa).map_err(|e| err(&e)),
+        WireEncoding::Bin => {
+            let bytes = phylo_wire::b64::decode(text).map_err(|e| err(&e))?;
+            phylo_wire::decode_splits_exact(&bytes, taxa.len(), scratch).map_err(|e| err(&e))
+        }
+    }
 }
 
 /// Dispatch one request, recording its latency and outcome under the op
@@ -1003,11 +989,11 @@ fn notes_vec(guard: &RunGuard) -> Vec<String> {
     guard.degradations().iter().map(|d| d.to_string()).collect()
 }
 
-/// Score `queries` against one snapshot. Small requests run sequentially
-/// through the connection arena; large batches fan out on the shared rayon
-/// pool (fresh scratch per chunk inside the comparator) — unless the box
-/// has a single core, where fan-out is pure overhead on top of the
-/// handler threads already competing for it.
+/// Whether a request with `n_queries` queries fans out on the shared rayon
+/// pool (a fresh scratch per chunk of payloads) rather than running
+/// sequentially through the connection arena — never on a single-core
+/// box, where fan-out is pure overhead on top of the handler threads
+/// already competing for it.
 fn parallel_scoring(n_queries: usize) -> bool {
     static CORES: OnceLock<usize> = OnceLock::new();
     let cores = *CORES.get_or_init(|| {
@@ -1018,21 +1004,97 @@ fn parallel_scoring(n_queries: usize) -> bool {
     n_queries > PARALLEL_QUERY_THRESHOLD && cores > 1
 }
 
-fn scored(
+/// Score the payloads `items` (queries `base..`) one at a time: fused
+/// decode+extract into `scratch`, then the batched probe. The fused
+/// passes' time accumulates into `decode`.
+fn score_chunk(
     view: &QueryView,
-    queries: &[Tree],
+    enc: WireEncoding,
+    items: &[String],
+    base: usize,
     guard: &RunGuard,
     scratch: &mut BipartitionScratch,
-) -> Result<Vec<bfhrf::QueryScore>, ReqError> {
-    let cmp = FrozenComparator::new(&view.frozen, &view.taxa);
-    if parallel_scoring(queries.len()) {
-        cmp.parallel(true)
-            .average_all_guarded(queries, guard)
-            .map_err(ReqError::from_core)
-    } else {
-        cmp.average_all_scratch_guarded(queries, guard, scratch)
-            .map_err(ReqError::from_core)
+    decode: &mut Duration,
+) -> Result<Vec<QueryScore>, ReqError> {
+    items
+        .iter()
+        .enumerate()
+        .map(|(i, text)| {
+            let index = base + i;
+            let start = Instant::now();
+            let batch = payload_splits(enc, &view.taxa, text, index, scratch)?;
+            *decode += start.elapsed();
+            if view.frozen.n_trees() == 0 {
+                return Err(ReqError::from_core(CoreError::EmptyReference));
+            }
+            guard
+                .checkpoint("bfhrf average_all")
+                .map_err(ReqError::from_core)?;
+            Ok(QueryScore {
+                index,
+                rf: view.frozen.average_batch(&batch),
+            })
+        })
+        .collect()
+}
+
+/// Score a request's payloads against one snapshot, without building
+/// trees. The summed fused decode+extract time of the frame is recorded
+/// under `wire_decode_ns{encoding}`.
+fn score_payloads(
+    state: &ServeState,
+    enc: WireEncoding,
+    view: &QueryView,
+    queries: &[String],
+    guard: &RunGuard,
+    scratch: &mut BipartitionScratch,
+) -> Result<Vec<QueryScore>, ReqError> {
+    if queries.is_empty() {
+        return Err(ReqError::from_core(if view.frozen.n_trees() == 0 {
+            CoreError::EmptyReference
+        } else {
+            CoreError::EmptyQuery
+        }));
     }
+    let mut decode = Duration::ZERO;
+    let scores = if parallel_scoring(queries.len()) {
+        // Chunked so each worker reuses one arena; each worker body is
+        // panic-isolated, and the first failing query (in order) answers.
+        let chunk = queries.len().div_ceil(rayon::current_num_threads()).max(1);
+        let parts: Vec<(Result<Vec<QueryScore>, ReqError>, Duration)> = queries
+            .par_chunks(chunk)
+            .enumerate()
+            .map(|(ci, items)| {
+                let mut scratch = BipartitionScratch::new();
+                let mut decode = Duration::ZERO;
+                let scored = isolate("bfhrf query worker", || {
+                    Ok(score_chunk(
+                        view,
+                        enc,
+                        items,
+                        ci * chunk,
+                        guard,
+                        &mut scratch,
+                        &mut decode,
+                    ))
+                });
+                (
+                    scored.unwrap_or_else(|e| Err(ReqError::from_core(e))),
+                    decode,
+                )
+            })
+            .collect();
+        let mut scores = Vec::with_capacity(queries.len());
+        for (part, spent) in parts {
+            scores.extend(part?);
+            decode += spent;
+        }
+        scores
+    } else {
+        score_chunk(view, enc, queries, 0, guard, scratch, &mut decode)?
+    };
+    state.metrics.wire_decode[enc.index()].record_duration(decode);
+    Ok(scores)
 }
 
 /// `avgrf` and `batch` share this: same scoring, same response shape; the
@@ -1047,27 +1109,7 @@ fn op_scores(
 ) -> Result<Response, ReqError> {
     let (view, snap_id) = target_view(state, target);
     let guard = request_guard(state);
-    // Sequential scoring walks the batch in small chunks — parse a few
-    // trees, score them, reuse the arena — so a 4096-query frame never
-    // holds thousands of parsed trees live at once (with many concurrent
-    // connections that footprint is real cache pressure). The parallel
-    // path keeps the whole batch: rayon wants it all to fan out.
-    let scores = if parallel_scoring(queries.len()) {
-        let trees = payload_trees(state, enc, &view.taxa, queries)?;
-        scored(&view, &trees, &guard, scratch)?
-    } else {
-        let mut scores = Vec::with_capacity(queries.len());
-        for (chunk_idx, chunk) in queries.chunks(PARALLEL_QUERY_THRESHOLD).enumerate() {
-            let base = chunk_idx * PARALLEL_QUERY_THRESHOLD;
-            let trees = payload_trees_chunk(state, enc, &view.taxa, chunk, base)?;
-            let part = scored(&view, &trees, &guard, scratch)?;
-            scores.extend(part.into_iter().map(|mut s| {
-                s.index += base;
-                s
-            }));
-        }
-        scores
-    };
+    let scores = score_payloads(state, enc, &view, queries, &guard, scratch)?;
     let n_taxa = view.taxa.len();
     let rows = scores
         .iter()
@@ -1107,8 +1149,7 @@ fn op_best(
 ) -> Result<Response, ReqError> {
     let (view, _snap_id) = target_view(state, target);
     let guard = request_guard(state);
-    let trees = payload_trees(state, enc, &view.taxa, queries)?;
-    let scores = scored(&view, &trees, &guard, scratch)?;
+    let scores = score_payloads(state, enc, &view, queries, &guard, scratch)?;
     let best = bfhrf::best_query(&scores)
         .ok_or_else(|| ReqError::new("the \"queries\" array is empty"))?;
     Ok(Response::Best {

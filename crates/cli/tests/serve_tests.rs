@@ -104,6 +104,83 @@ fn shutdown(addr: &str, handle: std::thread::JoinHandle<u64>) -> u64 {
     handle.join().unwrap()
 }
 
+/// Scoring ops build no trees, yet a malformed payload anywhere in a
+/// batch still answers `tree {i}: …` with the Newick parser's or record
+/// decoder's own error — on the sequential path (≤ 8 queries) and on the
+/// fan-out path alike.
+#[test]
+fn malformed_payloads_answer_with_the_decoders_error() {
+    let dir = scratch("malformed");
+    let index_dir = build_index(&dir, REFS);
+    let (addr, handle) = start_server(&index_dir, None);
+    // The index interned REFS' labels in first-seen order.
+    let mut taxa = phylo::TaxonSet::new();
+    for label in ["A", "B", "C", "D", "E", "F"] {
+        taxa.intern(label);
+    }
+    let good = "((A,B),((C,D),(E,F)));";
+    let record =
+        phylo_wire::encode_tree_vec(&phylo::parse_newick_readonly(good, &taxa).unwrap()).unwrap();
+    let mut flipped = record.clone();
+    flipped[3] ^= 0x10;
+    let newick_cases = [
+        "((A,B),((C,D),(E,F));",
+        "((A,B),(C,Zed));",
+        "((A:x,B),((C,D),(E,F)));",
+        "((A,B),((C,D),(E,F))); junk",
+    ];
+    let bin_cases = [
+        phylo_wire::b64::encode(&flipped),
+        phylo_wire::b64::encode(&record[..record.len() - 1]),
+        "Zm9v!A==".to_string(),
+    ];
+    let session = |encoding: &str, payloads: &[String]| -> json::Json {
+        let mut stream = TcpStream::connect(&addr).unwrap();
+        let mut reader = BufReader::new(stream.try_clone().unwrap());
+        let hello = format!(r#"{{"v":2,"op":"hello","encoding":"{encoding}"}}"#);
+        let quoted: Vec<String> = payloads.iter().map(|q| format!("\"{q}\"")).collect();
+        let batch = format!(r#"{{"v":2,"op":"batch","queries":[{}]}}"#, quoted.join(","));
+        stream
+            .write_all(format!("{hello}\n{batch}\n").as_bytes())
+            .unwrap();
+        let mut line = String::new();
+        reader.read_line(&mut line).unwrap();
+        line.clear();
+        reader.read_line(&mut line).unwrap();
+        json::parse(line.trim()).unwrap()
+    };
+    for (n, at) in [(3, 1), (20, 13)] {
+        for bad in newick_cases {
+            let want = phylo::parse_newick_readonly(bad, &taxa).unwrap_err();
+            let mut payloads = vec![good.to_string(); n];
+            payloads[at] = bad.to_string();
+            let resp = session("newick", &payloads);
+            assert_eq!(resp.get("ok").unwrap().as_bool(), Some(false), "{bad}");
+            assert_eq!(
+                resp.get("error").and_then(json::Json::as_str),
+                Some(format!("tree {at}: {want}").as_str())
+            );
+        }
+        for bad in &bin_cases {
+            let want = match phylo_wire::b64::decode(bad) {
+                Err(e) => e.to_string(),
+                Ok(bytes) => phylo_wire::decode_tree_exact(&bytes, taxa.len())
+                    .unwrap_err()
+                    .to_string(),
+            };
+            let mut payloads = vec![phylo_wire::b64::encode(&record); n];
+            payloads[at] = bad.clone();
+            let resp = session("bin", &payloads);
+            assert_eq!(resp.get("ok").unwrap().as_bool(), Some(false), "{bad}");
+            assert_eq!(
+                resp.get("error").and_then(json::Json::as_str),
+                Some(format!("tree {at}: {want}").as_str())
+            );
+        }
+    }
+    shutdown(&addr, handle);
+}
+
 /// The acceptance round trip: a served `avgrf` answer must be
 /// byte-identical to the offline `bfhrf avgrf` report on the same data.
 #[test]

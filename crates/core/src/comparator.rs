@@ -24,7 +24,7 @@ use crate::error::CoreError;
 use crate::guard::{isolate, RunGuard};
 use crate::hashrf::{HashRf, HashRfConfig};
 use crate::rf::{bfhrf_average_scratch, QueryScore, RfAverage};
-use phylo::{BipartitionScratch, BipartitionSet, TaxonSet, Tree};
+use phylo::{BipartitionScratch, BipartitionSet, NodeId, TaxonSet, Tree};
 use phylo_bitset::Bits;
 use rayon::prelude::*;
 use std::borrow::Cow;
@@ -75,21 +75,21 @@ pub trait Comparator {
     }
 }
 
-/// Typed-error guard replacing the extraction assert: every leaf taxon of
-/// `tree` must fit the namespace.
+/// Typed-error guard replacing the extraction assert: every taxon in
+/// `tree`'s arena must fit the namespace. Scans the arena in place — no
+/// traversal buffers per query.
 fn check_tree_taxa(tree: &Tree, taxa: &TaxonSet) -> Result<(), CoreError> {
-    for leaf in tree.leaves() {
-        if let Some(t) = tree.taxon(leaf) {
-            if t.index() >= taxa.len() {
-                return Err(CoreError::TaxaMismatch(format!(
-                    "query references taxon id {} but the namespace has {} taxa",
-                    t.index(),
-                    taxa.len()
-                )));
-            }
-        }
+    let out_of_range = (0..tree.num_nodes() as u32)
+        .filter_map(|i| tree.taxon(NodeId(i)))
+        .find(|t| t.index() >= taxa.len());
+    match out_of_range {
+        None => Ok(()),
+        Some(t) => Err(CoreError::TaxaMismatch(format!(
+            "query references taxon id {} but the namespace has {} taxa",
+            t.index(),
+            taxa.len()
+        ))),
     }
-    Ok(())
 }
 
 /// BFHRF (Algorithm 2): one tree-vs-hash comparison per query.

@@ -670,9 +670,8 @@ impl FrozenBfh {
     }
 
     /// Average RF of one query tree against the frozen hash through a
-    /// caller-owned extraction arena — the batched Algorithm 2: one
-    /// post-order pass extracts masks + hashes, one pipelined loop probes
-    /// them.
+    /// caller-owned extraction arena: [`BipartitionScratch::batch_splits`]
+    /// then [`Self::average_batch`].
     ///
     /// # Panics
     /// Panics if the frozen hash holds no trees (average undefined).
@@ -682,14 +681,24 @@ impl FrozenBfh {
         taxa: &TaxonSet,
         scratch: &mut BipartitionScratch,
     ) -> crate::RfAverage {
+        self.average_batch(&scratch.batch_splits(query, taxa))
+    }
+
+    /// Average RF of one query, given its extracted split batch — the
+    /// batched Algorithm 2: one pipelined loop probes the batch's hashes.
+    /// The batch may come from any extraction driver (a `Tree`, Newick
+    /// text, a phylo-wire record).
+    ///
+    /// # Panics
+    /// Panics if the frozen hash holds no trees (average undefined).
+    pub fn average_batch(&self, batch: &SplitBatch<'_>) -> crate::RfAverage {
         assert!(
             self.n_trees > 0,
             "average RF over an empty reference collection"
         );
         let r = self.n_trees as u64;
-        let batch = scratch.batch_splits(query, taxa);
         let q_splits = batch.len() as u64;
-        let freq_sum = self.frequency_sum_batch(&batch);
+        let freq_sum = self.frequency_sum_batch(batch);
         crate::RfAverage {
             left: self.sum - freq_sum,
             right: q_splits * r - freq_sum,

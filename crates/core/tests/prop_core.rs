@@ -576,32 +576,6 @@ proptest! {
     }
 
     #[test]
-    fn vectorized_extraction_equals_scalar_extraction(
-        n in 5usize..40,
-        seed in any::<u64>(),
-        coalescent in any::<bool>(),
-    ) {
-        // The word-striped fill/orient pass must hand the probe kernel the
-        // exact batch the scalar pass would: same masks, same hashes, same
-        // order, on arbitrary topologies.
-        let coll = collection(n, 3, seed, coalescent);
-        let mut vec_scratch = BipartitionScratch::new();
-        let mut sca_scratch = BipartitionScratch::new();
-        for t in &coll.trees {
-            let (vec_masks, vec_hashes): (Vec<Vec<u64>>, Vec<u128>) = {
-                let b = vec_scratch.batch_splits(t, &coll.taxa);
-                ((0..b.len()).map(|i| b.mask(i).to_vec()).collect(), b.hashes().to_vec())
-            };
-            let sca = sca_scratch.batch_splits_scalar(t, &coll.taxa);
-            prop_assert_eq!(sca.len(), vec_masks.len());
-            for (i, m) in vec_masks.iter().enumerate() {
-                prop_assert_eq!(sca.mask(i), &m[..]);
-                prop_assert_eq!(sca.hash(i), vec_hashes[i]);
-            }
-        }
-    }
-
-    #[test]
     fn streaming_query_path_matches_batch(
         n in 5usize..14,
         r in 2usize..8,

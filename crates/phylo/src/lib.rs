@@ -56,9 +56,9 @@ pub use ingest::{IngestPolicy, IngestReport, NewickReader, RecordError};
 pub use newick::{
     parse_newick, parse_newick_readonly, read_trees_from_str, write_newick, TaxaPolicy,
 };
-pub use scratch::{BipartitionScratch, SplitBatch};
+pub use scratch::{BipartitionScratch, SplitBatch, SplitSink};
 pub use taxa::{TaxonId, TaxonSet};
-pub use tree::{NodeId, Tree};
+pub use tree::{NodeId, Tree, TreeBuilder, TreeSink};
 
 /// A tree collection sharing one taxon namespace — the paper's `R` or `Q`.
 #[derive(Debug, Clone, Default)]

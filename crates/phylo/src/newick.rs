@@ -14,9 +14,10 @@
 //! at a time from any `BufRead` source — this is the "dynamically load Q"
 //! behaviour the BFHRF algorithm exploits to keep memory flat.
 
-use crate::taxa::TaxonSet;
-use crate::tree::{NodeId, Tree};
+use crate::taxa::{TaxonId, TaxonSet};
+use crate::tree::{NodeId, Tree, TreeBuilder, TreeSink};
 use crate::PhyloError;
+use std::borrow::Cow;
 use std::io::BufRead;
 
 /// How the parser treats labels not yet in the taxon namespace.
@@ -30,17 +31,78 @@ pub enum TaxaPolicy {
 }
 
 #[derive(Debug, PartialEq)]
-enum Token {
+enum Token<'a> {
     Open,
     Close,
     Comma,
     Colon,
     Semicolon,
-    Label(String),
+    /// Borrowed from the input unless quote escapes (or non-ASCII bytes
+    /// inside quotes) force a rewrite.
+    Label(Cow<'a, str>),
     Number(f64),
 }
 
+/// What a bare (unquoted) token means where the parser asks for one.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Bare {
+    /// A node label.
+    Label,
+    /// A branch length, right after `:`.
+    Length,
+    /// A branch length the sink will not read: it must still parse, but a
+    /// plain decimal (see [`is_plain_decimal`]) need not be converted.
+    UnreadLength,
+}
+
+/// Bytes that end a bare token: structural characters and ASCII
+/// whitespace.
+const ENDS_BARE: [bool; 256] = {
+    let mut table = [false; 256];
+    let ends = b"(),:;['\t\n\x0C\r ";
+    let mut i = 0;
+    while i < ends.len() {
+        table[ends[i] as usize] = true;
+        i += 1;
+    }
+    table
+};
+
+/// Whether `text` is `[+-]?digits[.digits][(e|E)[+-]?digits]` — a form
+/// `f64::from_str` always accepts, so a length nobody reads needs no
+/// conversion. Anything else goes through the real parse.
+fn is_plain_decimal(text: &str) -> bool {
+    fn digits(b: &[u8]) -> usize {
+        b.iter().take_while(|c| c.is_ascii_digit()).count()
+    }
+    let b = text.as_bytes();
+    let mut i = usize::from(matches!(b.first(), Some(b'+' | b'-')));
+    let int = digits(&b[i..]);
+    if int == 0 {
+        return false;
+    }
+    i += int;
+    if b.get(i) == Some(&b'.') {
+        let frac = digits(&b[i + 1..]);
+        if frac == 0 {
+            return false;
+        }
+        i += 1 + frac;
+    }
+    if matches!(b.get(i), Some(b'e' | b'E')) {
+        i += 1;
+        i += usize::from(matches!(b.get(i), Some(b'+' | b'-')));
+        let exp = digits(&b[i..]);
+        if exp == 0 {
+            return false;
+        }
+        i += exp;
+    }
+    i == b.len()
+}
+
 struct Lexer<'a> {
+    text: &'a str,
     input: &'a [u8],
     pos: usize,
 }
@@ -48,6 +110,7 @@ struct Lexer<'a> {
 impl<'a> Lexer<'a> {
     fn new(input: &'a str) -> Self {
         Lexer {
+            text: input,
             input: input.as_bytes(),
             pos: 0,
         }
@@ -94,9 +157,9 @@ impl<'a> Lexer<'a> {
         Ok(self.pos >= self.input.len())
     }
 
-    /// `expect_number` is true right after a `:` — there (and only there)
-    /// bare tokens are branch lengths rather than labels.
-    fn next_token(&mut self, expect_number: bool) -> Result<Token, PhyloError> {
+    /// `bare` says what an unquoted token is here: right after a `:` (and
+    /// only there) it is a branch length rather than a label.
+    fn next_token(&mut self, bare: Bare) -> Result<Token<'a>, PhyloError> {
         self.skip_trivia()?;
         let start = self.pos;
         let Some(&b) = self.input.get(self.pos) else {
@@ -125,13 +188,17 @@ impl<'a> Lexer<'a> {
             }
             b'\'' => {
                 self.pos += 1;
-                let mut label = String::new();
+                let body = self.pos;
+                // Each byte maps to the char of the same value and `''`
+                // to one quote; a label with neither escapes nor
+                // non-ASCII bytes is therefore the input slice itself.
+                let mut label: Option<String> = None;
                 loop {
                     match self.input.get(self.pos) {
                         None => return Err(PhyloError::parse(start, "unterminated quoted label")),
                         Some(b'\'') => {
                             if self.input.get(self.pos + 1) == Some(&b'\'') {
-                                label.push('\'');
+                                label.get_or_insert_with(|| self.latin1(body)).push('\'');
                                 self.pos += 2;
                             } else {
                                 self.pos += 1;
@@ -139,77 +206,113 @@ impl<'a> Lexer<'a> {
                             }
                         }
                         Some(&c) => {
-                            label.push(c as char);
+                            if let Some(l) = &mut label {
+                                l.push(c as char);
+                            } else if !c.is_ascii() {
+                                label = Some(self.latin1(body));
+                                continue;
+                            }
                             self.pos += 1;
                         }
                     }
                 }
-                Ok(Token::Label(label))
+                Ok(Token::Label(match label {
+                    Some(l) => Cow::Owned(l),
+                    None => Cow::Borrowed(self.ascii(body, self.pos - 1)),
+                }))
             }
             _ => {
                 // bare token: runs until a structural character
-                while self.pos < self.input.len() {
-                    let c = self.input[self.pos];
-                    if matches!(c, b'(' | b')' | b',' | b':' | b';' | b'[' | b'\'')
-                        || c.is_ascii_whitespace()
-                    {
-                        break;
-                    }
+                while self.pos < self.input.len() && !ENDS_BARE[self.input[self.pos] as usize] {
                     self.pos += 1;
                 }
-                let text = std::str::from_utf8(&self.input[start..self.pos])
-                    .map_err(|_| PhyloError::parse(start, "invalid UTF-8 in label"))?;
-                if expect_number {
-                    let v: f64 = text.parse().map_err(|_| {
-                        PhyloError::parse(start, format!("invalid branch length {text:?}"))
-                    })?;
-                    Ok(Token::Number(v))
-                } else {
-                    Ok(Token::Label(text.to_string()))
+                // Tokens start and end next to ASCII bytes, so this slice
+                // lies on char boundaries.
+                let text = self
+                    .text
+                    .get(start..self.pos)
+                    .ok_or_else(|| PhyloError::parse(start, "invalid UTF-8 in label"))?;
+                match bare {
+                    Bare::Label => Ok(Token::Label(Cow::Borrowed(text))),
+                    Bare::UnreadLength if is_plain_decimal(text) => Ok(Token::Number(0.0)),
+                    Bare::Length | Bare::UnreadLength => {
+                        let v: f64 = text.parse().map_err(|_| {
+                            PhyloError::parse(start, format!("invalid branch length {text:?}"))
+                        })?;
+                        Ok(Token::Number(v))
+                    }
                 }
             }
         }
+    }
+
+    /// `input[from..self.pos]`, known to be ASCII, as a `&str`.
+    fn ascii(&self, from: usize, to: usize) -> &'a str {
+        std::str::from_utf8(&self.input[from..to]).expect("quoted label prefix is ASCII")
+    }
+
+    /// The quoted-label bytes read so far, one char per byte.
+    fn latin1(&self, from: usize) -> String {
+        self.input[from..self.pos]
+            .iter()
+            .map(|&c| c as char)
+            .collect()
     }
 }
 
 /// Parse one Newick tree (terminated by `;`) from `input`.
 ///
 /// Leaf labels are resolved against `taxa` under `policy`. Internal labels
-/// (support values etc.) are preserved on the tree. Trailing content after
-/// the `;` is an error — use [`read_trees_from_str`] or [`NewickStream`]
-/// for multi-tree inputs.
+/// (support values etc.) are accepted but not stored. Trailing content
+/// after the `;` is an error — use [`read_trees_from_str`] or
+/// [`NewickStream`] for multi-tree inputs.
 pub fn parse_newick(
     input: &str,
     taxa: &mut TaxonSet,
     policy: TaxaPolicy,
 ) -> Result<Tree, PhyloError> {
-    let mut lexer = Lexer::new(input);
-    let tree = parse_one(&mut lexer, &mut policy_resolver(taxa, policy))?;
-    if !lexer.at_end()? {
-        return Err(PhyloError::parse(
-            lexer.offset(),
-            "trailing content after ';'",
-        ));
-    }
-    Ok(tree)
+    let mut tree = TreeBuilder::default();
+    parse_whole(input, &mut policy_resolver(taxa, policy), &mut tree)?;
+    Ok(tree.finish())
 }
 
 /// [`parse_newick`] against a **shared** namespace with
 /// [`TaxaPolicy::Require`] semantics: unknown labels error, the namespace
 /// is never mutated, and — unlike cloning the set to satisfy the `&mut`
-/// parser signature — nothing is allocated per call. This is the serve
-/// daemon's request path: many worker threads parsing concurrently against
-/// one frozen `TaxonSet`.
+/// parser signature — nothing is allocated per call. Many threads can
+/// parse concurrently against one frozen `TaxonSet`.
 pub fn parse_newick_readonly(input: &str, taxa: &TaxonSet) -> Result<Tree, PhyloError> {
+    let mut tree = TreeBuilder::default();
+    parse_readonly_into(input, taxa, &mut tree)?;
+    Ok(tree.finish())
+}
+
+/// The parser behind [`parse_newick_readonly`], emitting into any sink —
+/// the split extractor's Newick driver shares it, so both accept and
+/// reject exactly the same inputs.
+pub(crate) fn parse_readonly_into<S: TreeSink>(
+    input: &str,
+    taxa: &TaxonSet,
+    sink: &mut S,
+) -> Result<(), PhyloError> {
+    parse_whole(input, &mut |label: &str| taxa.require(label), sink)
+}
+
+/// One tree that must span all of `input` (trailing trivia allowed).
+fn parse_whole<S: TreeSink>(
+    input: &str,
+    resolve: &mut impl FnMut(&str) -> Result<TaxonId, PhyloError>,
+    sink: &mut S,
+) -> Result<(), PhyloError> {
     let mut lexer = Lexer::new(input);
-    let tree = parse_one(&mut lexer, &mut |label| taxa.require(label))?;
+    parse_one(&mut lexer, resolve, sink)?;
     if !lexer.at_end()? {
         return Err(PhyloError::parse(
             lexer.offset(),
             "trailing content after ';'",
         ));
     }
-    Ok(tree)
+    Ok(())
 }
 
 /// Parse every tree in `input` (one per `;`).
@@ -222,7 +325,9 @@ pub fn read_trees_from_str(
     let mut resolve = policy_resolver(taxa, policy);
     let mut out = Vec::new();
     while !lexer.at_end()? {
-        out.push(parse_one(&mut lexer, &mut resolve)?);
+        let mut tree = TreeBuilder::default();
+        parse_one(&mut lexer, &mut resolve, &mut tree)?;
+        out.push(tree.finish());
     }
     Ok(out)
 }
@@ -232,80 +337,93 @@ pub fn read_trees_from_str(
 fn policy_resolver(
     taxa: &mut TaxonSet,
     policy: TaxaPolicy,
-) -> impl FnMut(&str) -> Result<crate::TaxonId, PhyloError> + '_ {
+) -> impl FnMut(&str) -> Result<TaxonId, PhyloError> + '_ {
     move |label| match policy {
         TaxaPolicy::Grow => Ok(taxa.intern(label)),
         TaxaPolicy::Require => taxa.require(label),
     }
 }
 
-fn parse_one(
-    lexer: &mut Lexer<'_>,
-    resolve: &mut dyn FnMut(&str) -> Result<crate::TaxonId, PhyloError>,
-) -> Result<Tree, PhyloError> {
-    let mut tree = Tree::new();
-    let root = tree.add_root();
-    let mut cur = root;
-    // Per-node bookkeeping to reject duplicate names/lengths.
-    let mut named = vec![false];
-    let mut lengthed = vec![false];
-    let mut depth = 0usize;
+/// What the parser knows about the node it is currently filling in.
+#[derive(Clone, Copy, Default)]
+struct NodeState {
+    /// A label was read (a leaf label also set the taxon).
+    named: bool,
+    /// A branch length was read.
+    lengthed: bool,
+    /// The node's child list was closed by `)`.
+    closed: bool,
+}
 
-    let mark = |v: &mut Vec<bool>, id: NodeId| {
-        if v.len() <= id.index() {
-            v.resize(id.index() + 1, false);
-        }
-        v[id.index()] = true;
-    };
-    let is_marked = |v: &Vec<bool>, id: NodeId| v.get(id.index()).copied().unwrap_or(false);
+/// Parse one tree, emitting it into `sink` as it goes. Every syntax check
+/// lives here, so the sink never sees a malformed tree complete — on an
+/// error it has seen a prefix of the events and must be discarded.
+fn parse_one<S: TreeSink>(
+    lexer: &mut Lexer<'_>,
+    resolve: &mut impl FnMut(&str) -> Result<TaxonId, PhyloError>,
+    sink: &mut S,
+) -> Result<(), PhyloError> {
+    sink.open(); // the root
+    let mut cur = NodeState::default();
+    // `lengthed` of every open ancestor: a length may precede `(`, and a
+    // second one after the matching `)` is still a duplicate.
+    let mut ancestors: Vec<bool> = Vec::new();
 
     loop {
         let offset = {
             lexer.skip_trivia()?;
             lexer.offset()
         };
-        match lexer.next_token(false)? {
+        match lexer.next_token(Bare::Label)? {
             Token::Open => {
-                if is_marked(&named, cur) || tree.taxon(cur).is_some() {
+                if cur.named {
                     return Err(PhyloError::parse(offset, "unexpected '(' after label"));
                 }
-                if !tree.children(cur).is_empty() {
+                if cur.closed {
                     return Err(PhyloError::parse(
                         offset,
                         "unexpected '(': node already closed",
                     ));
                 }
-                depth += 1;
-                cur = tree.add_child(cur);
+                ancestors.push(cur.lengthed);
+                cur = NodeState::default();
+                sink.open();
             }
             Token::Comma => {
-                if depth == 0 {
+                if ancestors.is_empty() {
                     return Err(PhyloError::parse(offset, "',' outside parentheses"));
                 }
-                finish_node(&tree, cur, offset)?;
-                let parent = tree
-                    .parent(cur)
-                    .ok_or_else(|| PhyloError::parse(offset, "',' outside parentheses"))?;
-                cur = tree.add_child(parent);
+                finish_node(cur, offset)?;
+                sink.close();
+                cur = NodeState::default();
+                sink.open();
             }
             Token::Close => {
-                if depth == 0 {
+                let Some(&lengthed) = ancestors.last() else {
                     return Err(PhyloError::parse(offset, "unbalanced ')'"));
-                }
-                finish_node(&tree, cur, offset)?;
-                depth -= 1;
-                cur = tree
-                    .parent(cur)
-                    .ok_or_else(|| PhyloError::parse(offset, "unbalanced ')'"))?;
+                };
+                finish_node(cur, offset)?;
+                sink.close();
+                ancestors.pop();
+                cur = NodeState {
+                    named: false,
+                    lengthed,
+                    closed: true,
+                };
             }
             Token::Colon => {
-                if is_marked(&lengthed, cur) {
+                if cur.lengthed {
                     return Err(PhyloError::parse(offset, "duplicate branch length"));
                 }
-                match lexer.next_token(true)? {
+                let bare = if S::READS_LENGTHS {
+                    Bare::Length
+                } else {
+                    Bare::UnreadLength
+                };
+                match lexer.next_token(bare)? {
                     Token::Number(v) => {
-                        tree.set_length(cur, Some(v));
-                        mark(&mut lengthed, cur);
+                        sink.length(v);
+                        cur.lengthed = true;
                     }
                     _ => {
                         return Err(PhyloError::parse(
@@ -316,33 +434,32 @@ fn parse_one(
                 }
             }
             Token::Semicolon => {
-                if depth != 0 {
+                if !ancestors.is_empty() {
                     return Err(PhyloError::parse(
                         offset,
                         "unbalanced '(': tree ended early",
                     ));
                 }
-                finish_node(&tree, cur, offset)?;
-                debug_assert_eq!(cur, root);
-                return Ok(tree);
+                finish_node(cur, offset)?;
+                sink.close();
+                return Ok(());
             }
             Token::Label(label) => {
-                if is_marked(&named, cur) || tree.taxon(cur).is_some() {
+                if cur.named {
                     return Err(PhyloError::parse(
                         offset,
                         format!("unexpected second label {label:?}"),
                     ));
                 }
-                if tree.children(cur).is_empty() {
+                if !cur.closed {
                     // leaf name → taxon
-                    let id = resolve(&label)?;
-                    tree.set_taxon(cur, Some(id));
+                    sink.taxon(resolve(&label)?);
                 }
                 // Internal labels (clade names / support values) are parsed
                 // for dialect compatibility but not stored: nothing in the
                 // RF pipeline reads them, and dropping them keeps nodes at
                 // two words.
-                mark(&mut named, cur);
+                cur.named = true;
             }
             Token::Number(_) => unreachable!("numbers only requested after ':'"),
         }
@@ -351,8 +468,8 @@ fn parse_one(
 
 /// A node is finished when `,`, `)` or `;` closes it: leaves must have
 /// received a taxon by then.
-fn finish_node(tree: &Tree, node: NodeId, offset: usize) -> Result<(), PhyloError> {
-    if tree.children(node).is_empty() && tree.taxon(node).is_none() {
+fn finish_node(node: NodeState, offset: usize) -> Result<(), PhyloError> {
+    if !node.closed && !node.named {
         return Err(PhyloError::parse(offset, "leaf without a label"));
     }
     Ok(())
@@ -704,6 +821,43 @@ mod tests {
         let mut taxa = TaxonSet::new();
         let mut stream = NewickStream::new("(A,B)".as_bytes(), TaxaPolicy::Grow);
         assert!(stream.next_tree(&mut taxa).is_err());
+    }
+
+    #[test]
+    fn plain_decimals_always_parse_as_f64() {
+        for ok in [
+            "0",
+            "12",
+            "-3.25",
+            "+0.5",
+            "1e-3",
+            "2.5E+10",
+            "0.23073479096515997",
+        ] {
+            assert!(is_plain_decimal(ok), "{ok}");
+        }
+        for other in [
+            "", ".5", "1.", "1e", "e3", "1.2.3", "inf", "NaN", "1_0", "--1", "0x1",
+        ] {
+            assert!(!is_plain_decimal(other), "{other}");
+        }
+        // Random strings over the grammar's alphabet: whatever the fast
+        // check accepts, the real parser accepts too.
+        let alphabet = b"0123456789.eE+-";
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        for _ in 0..20_000 {
+            let mut s = String::new();
+            for _ in 0..(x % 7) {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                s.push(alphabet[(x % alphabet.len() as u64) as usize] as char);
+            }
+            x = x.wrapping_add(0x632b_e59b_d9b4_e019);
+            if is_plain_decimal(&s) {
+                assert!(s.parse::<f64>().is_ok(), "{s:?}");
+            }
+        }
     }
 
     #[test]

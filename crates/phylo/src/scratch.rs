@@ -1,44 +1,64 @@
-//! Zero-allocation bipartition extraction into a caller-owned arena.
+//! Tree-free split extraction: one explicit-stack sink, three drivers.
 //!
-//! [`Tree::bipartitions`] allocates one [`Bits`] per node (the subtree
-//! masks), a seen-set for deduplication, and one `Bipartition` per emitted
-//! split. That is fine for one tree, but the BFH build and batched RF
-//! queries extract B(T) for *thousands* of trees in a row, and the per-tree
-//! allocations dominate. [`BipartitionScratch`] is the reusable alternative:
-//! a flat `u64` arena sized `num_nodes × words` plus a handful of index
-//! buffers, all grown once and reused across trees. Extraction writes
-//! subtree masks in place and hands each canonical split to a visitor as a
-//! **borrowed** word slice — no allocation on the hot path at all. The
-//! in-place pass is word-striped: child masks OR into their parent and
-//! popcounts accumulate via the chunked kernels in `phylo_bitset`
-//! ([`union_words`]/[`popcount_words`]), and canonical orientation is a
-//! branch-free conditional flip ([`orient_words`]) instead of a
-//! ~50/50-unpredictable branch per split (the scalar per-word twin is kept
-//! as `for_each_split_scalar` for ablation and equivalence tests). Callers
-//! that need an owned key (a fresh map insert) rebuild a [`Bits`] from the
-//! slice; callers that only probe (queries) pass the slice straight to the
-//! borrowed-key lookups in `phylo_bitset`.
+//! [`Tree::bipartitions`] allocates one [`Bits`] per node, a seen-set for
+//! deduplication, and one `Bipartition` per emitted split. That is fine for
+//! one tree, but the BFH build and batched RF queries extract B(T) for
+//! *thousands* of trees in a row. [`BipartitionScratch`] is the reusable
+//! alternative, and it does not need a [`Tree`] at all: its [`SplitSink`]
+//! consumes a tree as a preorder stream of [`TreeSink`] events —
+//! `open`, `taxon`, `close` — and keeps only the masks of the nodes that
+//! are currently open, one `words`-wide row per depth of an explicit
+//! stack. Three drivers feed it:
+//!
+//! * **a `Tree` walk** ([`BipartitionScratch::batch_splits`],
+//!   [`BipartitionScratch::for_each_split`]) — an iterative walk of the
+//!   arena, for callers that already hold trees (the BFH build, matrices,
+//!   offline scoring);
+//! * **Newick text** ([`BipartitionScratch::batch_newick`]) — the same
+//!   event-emitting parser [`crate::parse_newick_readonly`] uses, with the
+//!   same checks and errors, but no arena;
+//! * **phylo-wire records** (`phylo_wire::decode_splits_exact`, through
+//!   [`BipartitionScratch::batch_from`]) — the record decoder's topology
+//!   bits and preorder leaf ids, after the decoder's full validation.
+//!
+//! When a node closes, its mask ORs into its parent's row, its popcount is
+//! taken once, and the node becomes a *candidate* split if it passes the
+//! first dedup rule below. A leaf never gets a row of its own: its taxon
+//! bit goes straight into the parent's row, which is zeroed lazily when
+//! the first child closes into it. Candidates are stored unoriented; when
+//! the stream ends, [`SplitSink`] drops the trivial ones and the second
+//! dedup rule's duplicate, orients every survivor by the tree's own
+//! anchor taxon (a branch-free conditional flip, [`orient_words`]) and,
+//! for a [`SplitBatch`], hashes each once. Callers that need an owned key
+//! (a fresh map insert) rebuild a [`Bits`] from the borrowed slice;
+//! callers that only probe (queries) pass the batch straight to the
+//! batched probe kernels.
 //!
 //! # Equivalence with `Tree::bipartitions`
 //!
-//! The visitor sees exactly the canonical masks `bipartitions` would
-//! return, in the same (postorder) order. The seen-set is replaced by a
-//! structural rule — two non-root internal nodes yield the same canonical
-//! mask only if
+//! Every driver yields exactly the canonical masks `bipartitions` would
+//! return, in the same (postorder) order — the order nodes close in. The
+//! seen-set is replaced by two structural rules, both decided as nodes
+//! close. Two non-root internal nodes yield the same canonical mask only
+//! if
 //!
 //! 1. one is an ancestor of the other through nodes of equal leaf count
 //!    (unary chains, or interior nodes whose other children carry no taxa):
-//!    skipped by testing `ones(child) == ones(node)` — since a child's mask
-//!    is a subset of its parent's, equal popcount means equal mask, and the
-//!    chain-*bottom* (first in postorder, the one `bipartitions` keeps) has
-//!    no such child; or
+//!    a closing node is skipped when a child's popcount equals its own —
+//!    since a child's mask is a subset of its parent's, equal popcount
+//!    means equal mask, and the chain-*bottom* (first to close, the one
+//!    `bipartitions` keeps) has no such child. Each closing node records
+//!    which candidate its chain bottoms out in; or
 //! 2. their masks are complements inside the leafset: only possible when
 //!    the root has exactly two leaf-bearing children whose leaf counts sum
-//!    to the whole leafset, in which case the duplicate is the chain-bottom
-//!    under the *second* such child — computed once per tree and skipped.
+//!    to the whole leafset. The sink notes the leaf count and chain-bottom
+//!    candidate of the first two leaf-bearing root children as they close,
+//!    and drops the second one's candidate once the leafset is known.
 
-use crate::taxa::TaxonSet;
-use crate::tree::{NodeId, Tree};
+use crate::newick::parse_readonly_into;
+use crate::taxa::{TaxonId, TaxonSet};
+use crate::tree::{NodeId, Tree, TreeSink};
+use crate::PhyloError;
 use phylo_bitset::{
     orient_words, popcount_words, split_hash128, union_words, words_for, Bits, WORD_BITS,
 };
@@ -116,34 +136,342 @@ impl<'a> SplitBatch<'a> {
     }
 }
 
-/// Reusable arena for allocation-free bipartition extraction.
+/// "No candidate / no taxon" marker in the sink's `u32` slots.
+const NONE: u32 = u32::MAX;
+
+/// Bookkeeping for one open node of the [`SplitSink`] stack.
+#[derive(Debug, Clone, Copy)]
+struct Frame {
+    /// The node's own taxon bit, or [`NONE`].
+    own: u32,
+    /// Whether a child has closed into this node — i.e. whether its mask
+    /// row on the stack is live.
+    internal: bool,
+    /// Largest popcount among the closed children.
+    max_child: u32,
+    /// Chain-bottom candidate of the first child reaching `max_child`.
+    chain: u32,
+    /// Complement duplicate (rule 2) found at or below that child.
+    dup: u32,
+    /// `(popcount, chain-bottom candidate)` of the first two leaf-bearing
+    /// children, and how many there were (counting stops at 3).
+    bearing: [(u32, u32); 2],
+    n_bearing: u8,
+}
+
+impl Frame {
+    const OPEN: Frame = Frame {
+        own: NONE,
+        internal: false,
+        max_child: 0,
+        chain: NONE,
+        dup: NONE,
+        bearing: [(0, NONE); 2],
+        n_bearing: 0,
+    };
+}
+
+/// The explicit-stack split extractor: a [`TreeSink`] that turns one
+/// tree's event stream into its canonical splits.
 ///
-/// Create once, call [`for_each_split`](Self::for_each_split) per tree. All
-/// buffers are retained between calls, so after the first (largest) tree no
-/// further allocation happens.
+/// Obtained through [`BipartitionScratch::batch_from`], which resets it,
+/// lets a driver emit one tree's events into it, and collects the batch.
+/// Event contract: one root, every `open` closed, `taxon` at most once per
+/// node with an id below the namespace width.
 #[derive(Debug, Default)]
-pub struct BipartitionScratch {
-    /// Subtree masks, node-major: node `i` owns `masks[i*words .. (i+1)*words]`.
+pub struct SplitSink {
+    words: usize,
+    n_bits: usize,
+    /// Open-node mask rows, depth-major: depth `d` owns
+    /// `masks[d*words .. (d+1)*words]` while its frame is `internal`.
+    /// Row 0 is the root's, and holds the tree's leafset once it closes.
     masks: Vec<u64>,
-    /// Scratch for the flipped (complemented-within-leafset) orientation.
-    canon: Vec<u64>,
-    /// Per-node leaf count (popcount of the node's mask).
-    ones: Vec<u32>,
-    /// Reused postorder buffer.
-    order: Vec<NodeId>,
-    /// Reused traversal stack.
-    stack: Vec<NodeId>,
-    /// Batched canonical masks, packed at stride `words` (see
-    /// [`Self::batch_splits`]).
+    /// Frames of the open nodes that have (had) a child, root first.
+    frames: Vec<Frame>,
+    depth: usize,
+    /// Whether the innermost open node has seen no child yet. It gets a
+    /// frame only when a child opens, so a leaf never costs one.
+    pending: bool,
+    /// The pending node's taxon bit, or [`NONE`].
+    pending_own: u32,
+    /// Popcount of the root once it has closed (the tree's leaf count).
+    root_ones: u32,
+    /// The root's complement duplicate (rule 2), once it has closed.
+    skip: u32,
+    /// Unoriented candidate masks, packed at stride `words`.
+    cands: Vec<u64>,
+    /// Popcount of each candidate.
+    cand_ones: Vec<u32>,
+    /// Canonical (oriented) masks of the last finished tree.
     batch: Vec<u64>,
     /// 128-bit split hashes parallel to `batch`.
     hashes: Vec<u128>,
+}
+
+impl SplitSink {
+    fn reset(&mut self, n_taxa: usize) {
+        self.words = words_for(n_taxa);
+        self.n_bits = n_taxa;
+        self.depth = 0;
+        self.pending = false;
+        self.root_ones = 0;
+        self.skip = NONE;
+        self.cands.clear();
+        self.cand_ones.clear();
+    }
+
+    /// Give the pending node its frame: a child of it is opening.
+    fn push_frame(&mut self) {
+        let d = self.depth;
+        let f = Frame {
+            own: self.pending_own,
+            ..Frame::OPEN
+        };
+        if self.frames.len() == d {
+            self.frames.push(f);
+        } else {
+            self.frames[d] = f;
+        }
+        let need = (d + 1) * self.words;
+        if self.masks.len() < need {
+            self.masks.resize(need, 0);
+        }
+        self.depth = d + 1;
+    }
+
+    /// The live mask row of depth `d`, zeroed (plus the node's own taxon
+    /// bit) the first time a child closes into it.
+    fn live_row(&mut self, d: usize) -> &mut [u64] {
+        let w = self.words;
+        let f = &mut self.frames[d];
+        let row = &mut self.masks[d * w..(d + 1) * w];
+        if !f.internal {
+            f.internal = true;
+            row.fill(0);
+            if f.own != NONE {
+                let b = f.own as usize;
+                row[b / WORD_BITS] |= 1u64 << (b % WORD_BITS);
+            }
+        }
+        row
+    }
+
+    /// Fold a closed child's popcount, chain-bottom candidate and
+    /// complement duplicate into its parent's frame at depth `p`.
+    fn child_closed(&mut self, p: usize, ones: u32, chain: u32, dup: u32) {
+        let parent = &mut self.frames[p];
+        if ones > parent.max_child {
+            parent.max_child = ones;
+            parent.chain = chain;
+            parent.dup = dup;
+        }
+        if ones > 0 && parent.n_bearing < 3 {
+            if let Some(slot) = parent.bearing.get_mut(usize::from(parent.n_bearing)) {
+                *slot = (ones, chain);
+            }
+            parent.n_bearing += 1;
+        }
+    }
+
+    /// Drop trivial candidates and the complement duplicate (rule 2),
+    /// orient the survivors by the tree's anchor taxon into `batch`, and
+    /// hash them if `hash`. Returns the number of splits.
+    fn finish(&mut self, hash: bool) -> usize {
+        debug_assert_eq!(self.depth, 0, "unbalanced tree events");
+        self.batch.clear();
+        self.hashes.clear();
+        let n_leaves = self.root_ones;
+        if n_leaves < 4 {
+            return 0; // no non-trivial splits possible
+        }
+        let w = self.words;
+        let leafset = &self.masks[..w];
+        // Anchor: the lowest taxon present in this tree (not the
+        // namespace), mirroring `Bipartition::new`'s `leafset.first_one()`.
+        let anchor = leafset
+            .iter()
+            .enumerate()
+            .find(|(_, &x)| x != 0)
+            .map(|(wi, &x)| wi * WORD_BITS + x.trailing_zeros() as usize)
+            .expect("n_leaves >= 4 implies a set bit");
+        let (aw, ab) = (anchor / WORD_BITS, anchor % WORD_BITS);
+        let skip = self.skip;
+        let hi = n_leaves - 2;
+        self.batch.resize(self.cand_ones.len() * w, 0);
+        let mut kept = 0;
+        for (i, &ones) in self.cand_ones.iter().enumerate() {
+            if ones > hi || i as u32 == skip {
+                continue;
+            }
+            let mask = &self.cands[i * w..(i + 1) * w];
+            // Branch-free orientation: anchor bit set → flip = 0 and the
+            // mask copies through; clear → flip = !0 and the mask
+            // complements inside the leafset.
+            let flip = ((mask[aw] >> ab) & 1).wrapping_sub(1);
+            let out = &mut self.batch[kept * w..(kept + 1) * w];
+            orient_words(out, leafset, mask, flip);
+            if hash {
+                self.hashes.push(split_hash128(out));
+            }
+            kept += 1;
+        }
+        self.batch.truncate(kept * w);
+        kept
+    }
+
+    fn batch(&self) -> SplitBatch<'_> {
+        SplitBatch {
+            words: self.words,
+            masks: &self.batch,
+            hashes: &self.hashes,
+        }
+    }
+}
+
+impl TreeSink for SplitSink {
+    const READS_LENGTHS: bool = false;
+
+    #[inline]
+    fn open(&mut self) {
+        if self.pending {
+            self.push_frame();
+        }
+        self.pending = true;
+        self.pending_own = NONE;
+    }
+
+    /// # Panics
+    /// Panics if `id` is out of range for the namespace (the same contract
+    /// as [`Tree::bipartitions`]).
+    #[inline]
+    fn taxon(&mut self, id: TaxonId) {
+        let b = id.index();
+        assert!(
+            b < self.n_bits,
+            "taxon id {b} out of range for namespace of {}",
+            self.n_bits
+        );
+        if self.pending {
+            self.pending_own = b as u32;
+        } else {
+            // Back at a node whose child closed: its row is live.
+            let row = self.live_row(self.depth - 1);
+            row[b / WORD_BITS] |= 1u64 << (b % WORD_BITS);
+        }
+    }
+
+    #[inline]
+    fn length(&mut self, _len: f64) {}
+
+    #[inline]
+    fn close(&mut self) {
+        if self.pending {
+            // A leaf: its taxon bit goes straight into the parent's row.
+            self.pending = false;
+            let Some(p) = self.depth.checked_sub(1) else {
+                return; // a one-node tree has no splits
+            };
+            let own = self.pending_own;
+            let row = self.live_row(p);
+            let ones = if own == NONE {
+                0
+            } else {
+                let b = own as usize;
+                row[b / WORD_BITS] |= 1u64 << (b % WORD_BITS);
+                1
+            };
+            self.child_closed(p, ones, NONE, NONE);
+            return;
+        }
+        // A node with children: its row is live.
+        let d = self.depth - 1;
+        let w = self.words;
+        let f = self.frames[d];
+        let row = &self.masks[d * w..(d + 1) * w];
+        let ones = popcount_words(row);
+        let (chain, dup) = if f.max_child == ones {
+            // Rule 1: a child carries the same mask.
+            (f.chain, f.dup)
+        } else {
+            // Rule 2: when two leaf-bearing children split this node's
+            // leaves and the node turns out to span the whole tree, the
+            // second one's split repeats the first's.
+            let [(s1, _), (s2, chain2)] = f.bearing;
+            let dup = if f.n_bearing == 2 && s1 + s2 == ones {
+                chain2
+            } else {
+                NONE
+            };
+            let chain = if d > 0 && ones >= 2 {
+                self.cands.extend_from_slice(row);
+                self.cand_ones.push(ones);
+                (self.cand_ones.len() - 1) as u32
+            } else {
+                NONE
+            };
+            (chain, dup)
+        };
+        self.depth = d;
+        let Some(p) = d.checked_sub(1) else {
+            self.root_ones = ones;
+            self.skip = dup;
+            return;
+        };
+        self.live_row(p);
+        let (lo, hi) = self.masks.split_at_mut(d * w);
+        union_words(&mut lo[p * w..], &hi[..w]);
+        self.child_closed(p, ones, chain, dup);
+    }
+}
+
+/// Reusable arena for allocation-free bipartition extraction.
+///
+/// Create once, extract per tree. All buffers are retained between calls,
+/// so after the first (largest) tree no further allocation happens.
+#[derive(Debug, Default)]
+pub struct BipartitionScratch {
+    sink: SplitSink,
+    /// The `Tree` walk's explicit stack: `(node, next child position)`.
+    walk: Vec<(NodeId, u32)>,
 }
 
 impl BipartitionScratch {
     /// A fresh scratch with empty buffers.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Feed `tree` into the reset sink as events, without recursion.
+    fn walk_tree(&mut self, tree: &Tree, n_taxa: usize) {
+        let sink = &mut self.sink;
+        sink.reset(n_taxa);
+        let Some(root) = tree.root() else { return };
+        let enter = |sink: &mut SplitSink, n: NodeId| {
+            sink.open();
+            if let Some(t) = tree.taxon(n) {
+                sink.taxon(t);
+            }
+        };
+        self.walk.clear();
+        enter(sink, root);
+        self.walk.push((root, 0));
+        while let Some(top) = self.walk.last_mut() {
+            match tree.children(top.0).get(top.1 as usize) {
+                Some(&c) => {
+                    top.1 += 1;
+                    enter(sink, c);
+                    if tree.is_leaf(c) {
+                        sink.close();
+                    } else {
+                        self.walk.push((c, 0));
+                    }
+                }
+                None => {
+                    sink.close();
+                    self.walk.pop();
+                }
+            }
+        }
     }
 
     /// Visit every non-trivial canonical bipartition mask of `tree`, encoded
@@ -159,237 +487,60 @@ impl BipartitionScratch {
     /// Panics if a leaf's taxon id is out of range for `taxa` (the same
     /// contract as [`Tree::bipartitions`]).
     pub fn for_each_split<F: FnMut(&[u64])>(&mut self, tree: &Tree, taxa: &TaxonSet, visit: F) {
-        self.for_each_split_impl(tree, taxa, true, visit);
-    }
-
-    /// The scalar (per-word, branchy-orientation) twin of
-    /// [`Self::for_each_split`]. Visits exactly the same masks in the same
-    /// order; kept callable so the extraction ablation in `query_bench`
-    /// and the vectorized-vs-scalar property tests can race and compare
-    /// the two passes.
-    #[doc(hidden)]
-    pub fn for_each_split_scalar<F: FnMut(&[u64])>(
-        &mut self,
-        tree: &Tree,
-        taxa: &TaxonSet,
-        visit: F,
-    ) {
-        self.for_each_split_impl(tree, taxa, false, visit);
-    }
-
-    /// Shared extraction body. `vectorized` selects the word-striped
-    /// kernels ([`union_words`]/[`popcount_words`]/[`orient_words`]) for
-    /// the subtree-mask fill and the canonical-orientation emit; `false`
-    /// keeps the original per-word loops with a branch per split. Both
-    /// paths visit identical mask values in identical order.
-    fn for_each_split_impl<F: FnMut(&[u64])>(
-        &mut self,
-        tree: &Tree,
-        taxa: &TaxonSet,
-        vectorized: bool,
-        mut visit: F,
-    ) {
-        let Some(root) = tree.root() else { return };
-        let n_bits = taxa.len();
-        let words = words_for(n_bits);
-        let nn = tree.num_nodes();
-
-        // Reset the arena (memset; no reallocation once grown).
-        self.masks.clear();
-        self.masks.resize(nn * words, 0);
-        self.ones.clear();
-        self.ones.resize(nn, 0);
-        self.canon.clear();
-        self.canon.resize(words, 0);
-
-        // Postorder into the reused buffer (same two-stack scheme as
-        // `Tree::postorder`, so emission order matches `bipartitions`).
-        self.order.clear();
-        self.stack.clear();
-        self.stack.push(root);
-        while let Some(n) = self.stack.pop() {
-            self.order.push(n);
-            self.stack.extend_from_slice(tree.children(n));
-        }
-        self.order.reverse();
-
-        // Fill masks and leaf counts bottom-up.
-        for &n in &self.order {
-            let ni = n.index();
-            let base = ni * words;
-            if let Some(t) = tree.taxon(n) {
-                let b = t.index();
-                assert!(
-                    b < n_bits,
-                    "taxon id {b} out of range for namespace of {n_bits}"
-                );
-                self.masks[base + b / WORD_BITS] |= 1u64 << (b % WORD_BITS);
-            }
-            for &c in tree.children(n) {
-                let cb = c.index() * words;
-                if vectorized {
-                    let [dst, src] = self
-                        .masks
-                        .get_disjoint_mut([base..base + words, cb..cb + words])
-                        .expect("parent and child arena rows are disjoint");
-                    union_words(dst, src);
-                } else {
-                    for w in 0..words {
-                        self.masks[base + w] |= self.masks[cb + w];
-                    }
-                }
-            }
-            self.ones[ni] = if vectorized {
-                popcount_words(&self.masks[base..base + words])
-            } else {
-                self.masks[base..base + words]
-                    .iter()
-                    .map(|w| w.count_ones())
-                    .sum()
-            };
-        }
-
-        let root_base = root.index() * words;
-        let n_leaves = self.ones[root.index()];
-        if n_leaves < 4 {
-            return; // no non-trivial splits possible
-        }
-
-        // Anchor: the lowest taxon present in this tree (not the namespace),
-        // mirroring `Bipartition::new`'s `leafset.first_one()`.
-        let anchor = self.masks[root_base..root_base + words]
-            .iter()
-            .enumerate()
-            .find(|(_, &w)| w != 0)
-            .map(|(wi, &w)| wi * WORD_BITS + w.trailing_zeros() as usize)
-            .expect("n_leaves >= 4 implies a set bit");
-        let (aw, ab) = (anchor / WORD_BITS, anchor % WORD_BITS);
-
-        // Complement-duplicate (rule 2 above): with exactly two leaf-bearing
-        // root children covering the leafset, the chain-bottom under the
-        // second one repeats the first's canonical mask.
-        let mut skip = usize::MAX;
-        {
-            let mut bearing: [Option<NodeId>; 2] = [None, None];
-            let mut n_bearing = 0usize;
-            for &c in tree.children(root) {
-                if self.ones[c.index()] > 0 {
-                    if n_bearing < 2 {
-                        bearing[n_bearing] = Some(c);
-                    }
-                    n_bearing += 1;
-                }
-            }
-            if n_bearing == 2 {
-                let (s1, s2) = (bearing[0].unwrap(), bearing[1].unwrap());
-                if self.ones[s1.index()] + self.ones[s2.index()] == n_leaves {
-                    let mut b = s2;
-                    'down: loop {
-                        for &c in tree.children(b) {
-                            if self.ones[c.index()] == self.ones[b.index()] {
-                                b = c;
-                                continue 'down;
-                            }
-                        }
-                        break;
-                    }
-                    skip = b.index();
-                }
-            }
-        }
-
-        let hi = n_leaves - 2;
-        for &n in &self.order {
-            let ni = n.index();
-            if ni == root.index() || tree.is_leaf(n) || ni == skip {
-                continue;
-            }
-            let o = self.ones[ni];
-            if o < 2 || o > hi {
-                continue; // trivial
-            }
-            if tree.children(n).iter().any(|&c| self.ones[c.index()] == o) {
-                continue; // ancestor-chain duplicate (rule 1)
-            }
-            let base = ni * words;
-            if vectorized {
-                // Branch-free orientation: anchor bit set → flip = 0 and
-                // the mask copies through; clear → flip = !0 and the mask
-                // complements inside the leafset (root ^ mask, equal to
-                // root & !mask because the mask is a subset of the root's
-                // leafset). The ~50/50 orientation branch becomes a data
-                // dependency, and the copy is word-striped.
-                let flip = ((self.masks[base + aw] >> ab) & 1).wrapping_sub(1);
-                orient_words(
-                    &mut self.canon[..words],
-                    &self.masks[root_base..root_base + words],
-                    &self.masks[base..base + words],
-                    flip,
-                );
-                visit(&self.canon[..words]);
-            } else if (self.masks[base + aw] >> ab) & 1 == 1 {
-                visit(&self.masks[base..base + words]);
-            } else {
-                for w in 0..words {
-                    self.canon[w] = self.masks[root_base + w] & !self.masks[base + w];
-                }
-                visit(&self.canon[..words]);
-            }
+        self.walk_tree(tree, taxa.len());
+        if self.sink.finish(false) > 0 {
+            self.sink
+                .batch
+                .chunks_exact(self.sink.words)
+                .for_each(visit);
         }
     }
 
     /// Extract every canonical split of `tree` **and** its 128-bit split
-    /// hash in one post-order pass, returning a borrowed [`SplitBatch`].
-    ///
-    /// This is the batched-query front half of the frozen probe kernel: the
-    /// masks land packed in the arena (child masks OR-combined in place, no
-    /// per-split [`Bits`] allocation) and each is hashed exactly once while
+    /// hash, returning a borrowed [`SplitBatch`] (same masks and order as
+    /// [`Self::for_each_split`]). Each mask is hashed exactly once, while
     /// its words are still cache-hot. The batch stays valid until the next
     /// extraction call on this scratch.
     pub fn batch_splits(&mut self, tree: &Tree, taxa: &TaxonSet) -> SplitBatch<'_> {
-        self.batch_splits_impl(tree, taxa, true)
+        self.walk_tree(tree, taxa.len());
+        self.sink.finish(true);
+        self.sink.batch()
     }
 
-    /// The scalar-extraction twin of [`Self::batch_splits`] — identical
-    /// batch contents through [`Self::for_each_split_scalar`], for the
-    /// `query_bench` extraction ablation and equivalence tests.
-    #[doc(hidden)]
-    pub fn batch_splits_scalar(&mut self, tree: &Tree, taxa: &TaxonSet) -> SplitBatch<'_> {
-        self.batch_splits_impl(tree, taxa, false)
-    }
-
-    fn batch_splits_impl(
+    /// The split batch of one Newick tree, straight from its text: the
+    /// parser behind [`crate::parse_newick_readonly`] feeds the sink
+    /// instead of an arena. Accepts and rejects exactly the inputs that
+    /// function does, with the same errors; on success the batch equals
+    /// `batch_splits(&parse_newick_readonly(input, taxa)?, taxa)`.
+    pub fn batch_newick(
         &mut self,
-        tree: &Tree,
+        input: &str,
         taxa: &TaxonSet,
-        vectorized: bool,
-    ) -> SplitBatch<'_> {
-        let words = words_for(taxa.len());
-        // Move the batch buffers out so the extraction closure can fill
-        // them while `self` is mutably borrowed by `for_each_split`.
-        let mut batch = std::mem::take(&mut self.batch);
-        let mut hashes = std::mem::take(&mut self.hashes);
-        batch.clear();
-        hashes.clear();
-        self.for_each_split_impl(tree, taxa, vectorized, |w| {
-            batch.extend_from_slice(w);
-            hashes.push(split_hash128(w));
-        });
-        self.batch = batch;
-        self.hashes = hashes;
-        SplitBatch {
-            words,
-            masks: &self.batch,
-            hashes: &self.hashes,
-        }
+    ) -> Result<SplitBatch<'_>, PhyloError> {
+        self.batch_from(taxa.len(), |sink| parse_readonly_into(input, taxa, sink))
+    }
+
+    /// The split batch of whatever tree `drive` emits into the sink, over
+    /// an `n_taxa`-wide namespace. This is how front ends outside this
+    /// crate (the phylo-wire record decoder) reuse the extractor: `drive`
+    /// validates its input and emits one tree's events, or returns its own
+    /// error, which is passed through.
+    pub fn batch_from<E>(
+        &mut self,
+        n_taxa: usize,
+        drive: impl FnOnce(&mut SplitSink) -> Result<(), E>,
+    ) -> Result<SplitBatch<'_>, E> {
+        self.sink.reset(n_taxa);
+        drive(&mut self.sink)?;
+        self.sink.finish(true);
+        Ok(self.sink.batch())
     }
 
     /// Number of non-trivial splits of `tree` (|B(T)|), without materializing
     /// them.
     pub fn split_count(&mut self, tree: &Tree, taxa: &TaxonSet) -> usize {
-        let mut n = 0usize;
-        self.for_each_split(tree, taxa, |_| n += 1);
-        n
+        self.walk_tree(tree, taxa.len());
+        self.sink.finish(false)
     }
 
     /// Owned canonical masks, in visit order. Convenience for callers (and
@@ -433,6 +584,7 @@ mod tests {
             "((A,B,C,D),(E,F));",             // polytomy
             "(((((A,B),C),D),E),F);",         // caterpillar
             "((A,(B,(C,(D,E)))),(F,(G,H)));", // mixed
+            "((((A,B),(C,D))));",             // unary chain above the root split
             "(A,B,C);",                       // too few taxa: no splits
             "((A,B),C);",
         ];
@@ -584,36 +736,33 @@ mod tests {
     }
 
     #[test]
-    fn scalar_and_vectorized_extraction_are_bit_identical() {
-        // The striped fill/orient kernels must reproduce the scalar pass
-        // exactly: same masks, same hashes, same order — including on
-        // pathological shapes (polytomies, caterpillars, partial
-        // namespaces) where orientation flips cluster.
+    fn newick_and_tree_drivers_are_bit_identical() {
+        // Streaming the text through the sink must reproduce the walk of
+        // the parsed tree exactly: same masks, same hashes, same order —
+        // including on shapes (polytomies, caterpillars, internal labels,
+        // lengths, comments) where orientation flips cluster.
         let cases = [
             "((A,B),(C,D));",
             "(A,B,(C,D));",
             "((A,B),(C,D),(E,F));",
-            "(((A,B),C),((D,E),(F,G)));",
+            "(((A:1,B:2)x:3,C),((D,E)'y z',(F,G)));",
             "((A,B,C,D),(E,F));",
-            "(((((A,B),C),D),E),F);",
+            "(((((A,B),C),D),E),F)[root];",
             "((A,(B,(C,(D,E)))),(F,(G,H)));",
             "(A,B,C);",
+            "A;",
         ];
-        let mut vec_scratch = BipartitionScratch::new();
-        let mut sca_scratch = BipartitionScratch::new();
+        let mut walk = BipartitionScratch::new();
+        let mut text = BipartitionScratch::new();
         for nwk in cases {
             let mut taxa = TaxonSet::new();
             let t = parse_newick(nwk, &mut taxa, TaxaPolicy::Grow).unwrap();
-            let vec_masks: Vec<Vec<u64>> = {
-                let b = vec_scratch.batch_splits(&t, &taxa);
-                (0..b.len()).map(|i| b.mask(i).to_vec()).collect()
-            };
-            let vec_hashes = vec_scratch.batch_splits(&t, &taxa).hashes().to_vec();
-            let sca = sca_scratch.batch_splits_scalar(&t, &taxa);
-            assert_eq!(sca.len(), vec_masks.len(), "{nwk}");
-            for (i, m) in vec_masks.iter().enumerate() {
-                assert_eq!(sca.mask(i), &m[..], "{nwk} split {i}");
-                assert_eq!(sca.hash(i), vec_hashes[i], "{nwk} hash {i}");
+            let w = walk.batch_splits(&t, &taxa);
+            let s = text.batch_newick(nwk, &taxa).unwrap();
+            assert_eq!(s.len(), w.len(), "{nwk}");
+            for i in 0..w.len() {
+                assert_eq!(s.mask(i), w.mask(i), "{nwk} split {i}");
+                assert_eq!(s.hash(i), w.hash(i), "{nwk} hash {i}");
             }
         }
     }

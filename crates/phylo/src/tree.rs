@@ -430,6 +430,83 @@ impl fmt::Debug for Tree {
     }
 }
 
+/// A consumer of one tree's shape as a preorder event stream.
+///
+/// Front ends that read a serialized tree (the Newick parser, the
+/// phylo-wire record decoder) emit these events after their own syntax
+/// checks, so one reader feeds either a [`TreeBuilder`] (an arena
+/// [`Tree`]) or the split extractor behind
+/// [`BipartitionScratch`](crate::BipartitionScratch) — which never builds
+/// a tree at all. A well-formed stream opens exactly one root, and every
+/// `open` is matched by a later `close`; `taxon` and `length` describe the
+/// node currently open.
+pub trait TreeSink {
+    /// Whether [`TreeSink::length`] reads its argument. Front ends still
+    /// validate every length; a sink that ignores them lets them skip the
+    /// conversion.
+    const READS_LENGTHS: bool = true;
+    /// Enter a new node: the root first, then a child of the open node.
+    fn open(&mut self);
+    /// Attach a leaf taxon to the open node.
+    fn taxon(&mut self, id: TaxonId);
+    /// Set the length of the edge above the open node.
+    fn length(&mut self, len: f64);
+    /// Leave the open node; its parent becomes the open node again.
+    fn close(&mut self);
+}
+
+/// The [`TreeSink`] that builds an arena [`Tree`]. Nodes get ids in
+/// preorder, the order their `open` events arrive in.
+#[derive(Debug, Default)]
+pub struct TreeBuilder {
+    tree: Tree,
+    open: Option<NodeId>,
+}
+
+impl TreeBuilder {
+    /// A builder whose arena is pre-sized for `n` nodes.
+    pub fn with_node_capacity(n: usize) -> Self {
+        TreeBuilder {
+            tree: Tree::with_node_capacity(n),
+            open: None,
+        }
+    }
+
+    /// The tree built so far.
+    pub fn finish(self) -> Tree {
+        self.tree
+    }
+
+    fn current(&self) -> NodeId {
+        self.open.expect("tree event outside an open node")
+    }
+}
+
+impl TreeSink for TreeBuilder {
+    fn open(&mut self) {
+        let id = match self.open {
+            Some(parent) => self.tree.add_child(parent),
+            None => self.tree.add_root(),
+        };
+        self.open = Some(id);
+    }
+
+    fn taxon(&mut self, id: TaxonId) {
+        let node = self.current();
+        self.tree.set_taxon(node, Some(id));
+    }
+
+    fn length(&mut self, len: f64) {
+        let node = self.current();
+        self.tree.set_length(node, Some(len));
+    }
+
+    fn close(&mut self) {
+        let node = self.current();
+        self.open = self.tree.parent(node);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -170,3 +170,247 @@ proptest! {
         prop_assert!(b1.rf_distance(&b2) <= 2 * (n - 3));
     }
 }
+
+// ---------------------------------------------------------------------------
+// Split-extraction drivers vs the `Tree::bipartitions` oracle.
+// ---------------------------------------------------------------------------
+
+use phylo::{parse_newick_readonly, BipartitionScratch, SplitBatch, TaxonId};
+use phylo_bitset::split_hash128;
+
+/// Namespace widths around the one-word/multi-word boundaries.
+const WIDTHS: [usize; 6] = [15, 63, 64, 65, 128, 129];
+
+/// A namespace of `n` labels, some of which only Newick quoting (with
+/// `''` escapes) can carry.
+fn awkward_taxa(n: usize) -> TaxonSet {
+    let mut taxa = TaxonSet::new();
+    for i in 0..n {
+        if i % 7 == 3 {
+            taxa.intern(&format!("sp {i}'s (x)"));
+        } else {
+            taxa.intern(&format!("t{i}"));
+        }
+    }
+    taxa
+}
+
+/// A random tree over a random subset (1..=width taxa) of an awkward
+/// namespace: multifurcations up to 5 children, unary chains, edge
+/// lengths, and — when `ghosts` — taxonless internal subtrees, which only
+/// a hand-built arena can hold.
+fn random_shaped_tree(width: usize, seed: u64, ghosts: bool) -> (Tree, TaxonSet) {
+    let taxa = awkward_taxa(width);
+    let mut rng = StdRng::seed_from_u64(seed);
+    let want = match rng.random_range(0..4) {
+        0 => rng.random_range(1..=3.min(width)),
+        1 => width,
+        _ => rng.random_range(1..=width),
+    };
+    let mut ids: Vec<u32> = (0..width as u32).collect();
+    for i in 0..want {
+        let j = rng.random_range(i..ids.len());
+        ids.swap(i, j);
+    }
+    ids.truncate(want);
+    let (mut tree, root) = Tree::with_root();
+    let mut todo = vec![(root, ids)];
+    while let Some((node, part)) = todo.pop() {
+        if rng.random_range(0..3) == 0 {
+            tree.set_length(node, Some(rng.random_range(0..10_000) as f64 / 64.0));
+        }
+        if part.len() == 1 {
+            // A leaf, sometimes under a unary chain.
+            let mut at = node;
+            for _ in 0..rng.random_range(0..3) / 2 {
+                at = tree.add_child(at);
+            }
+            tree.add_leaf(at, TaxonId(part[0]));
+            continue;
+        }
+        if ghosts && rng.random_range(0..6) == 0 {
+            let ghost = tree.add_child(node);
+            tree.add_child(ghost);
+        }
+        if rng.random_range(0..8) == 0 {
+            let unary = tree.add_child(node);
+            todo.push((unary, part));
+            continue;
+        }
+        let groups = rng.random_range(2..=5.min(part.len()));
+        let mut cuts: Vec<usize> = (1..part.len()).collect();
+        for i in 0..groups - 1 {
+            let j = rng.random_range(i..cuts.len());
+            cuts.swap(i, j);
+        }
+        let mut cuts = cuts[..groups - 1].to_vec();
+        cuts.sort_unstable();
+        cuts.push(part.len());
+        let mut start = 0;
+        for cut in cuts {
+            let child = tree.add_child(node);
+            todo.push((child, part[start..cut].to_vec()));
+            start = cut;
+        }
+    }
+    (tree, taxa)
+}
+
+/// Newick text of `tree` with every dialect feature the parser accepts:
+/// quoted labels (always where needed, sometimes where not), comments,
+/// internal labels, and the tree's edge lengths.
+fn noisy_newick(tree: &Tree, taxa: &TaxonSet, seed: u64) -> String {
+    let mut rng = StdRng::seed_from_u64(seed ^ 0x5eed);
+    let mut out = String::new();
+    let node_tail = |out: &mut String, node: phylo::NodeId, rng: &mut StdRng| {
+        if let Some(len) = tree.length(node) {
+            out.push_str(&format!(":{len}"));
+        }
+        if rng.random_range(0..5) == 0 {
+            out.push_str("[&c=1]");
+        }
+    };
+    enum Step {
+        Enter(phylo::NodeId),
+        Sep,
+        Exit(phylo::NodeId),
+    }
+    let mut stack = vec![Step::Enter(tree.root().expect("rooted"))];
+    while let Some(step) = stack.pop() {
+        match step {
+            Step::Enter(n) if tree.is_leaf(n) => {
+                let label = taxa.label(tree.taxon(n).expect("leaves carry taxa"));
+                if label.contains(' ') || rng.random_range(0..4) == 0 {
+                    out.push_str(&format!("'{}'", label.replace('\'', "''")));
+                } else {
+                    out.push_str(label);
+                }
+                node_tail(&mut out, n, &mut rng);
+            }
+            Step::Enter(n) => {
+                out.push('(');
+                stack.push(Step::Exit(n));
+                for (i, &c) in tree.children(n).iter().enumerate().rev() {
+                    stack.push(Step::Enter(c));
+                    if i > 0 {
+                        stack.push(Step::Sep);
+                    }
+                }
+            }
+            Step::Sep => out.push_str(if rng.random_range(0..3) == 0 {
+                " , "
+            } else {
+                ","
+            }),
+            Step::Exit(n) => {
+                out.push(')');
+                match rng.random_range(0..4) {
+                    0 => out.push_str(&format!("n{}", n.0)),
+                    1 => out.push_str("'0.95 support'"),
+                    _ => {}
+                }
+                node_tail(&mut out, n, &mut rng);
+            }
+        }
+    }
+    out.push(';');
+    out
+}
+
+/// The oracle's masks and hashes, in its order.
+fn oracle(tree: &Tree, taxa: &TaxonSet) -> Vec<(Vec<u64>, u128)> {
+    tree.bipartitions(taxa)
+        .into_iter()
+        .map(|b| {
+            let w = b.bits().words().to_vec();
+            let h = split_hash128(&w);
+            (w, h)
+        })
+        .collect()
+}
+
+fn batch_rows(batch: &SplitBatch<'_>) -> Vec<(Vec<u64>, u128)> {
+    (0..batch.len())
+        .map(|i| (batch.mask(i).to_vec(), batch.hash(i)))
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    #[test]
+    fn tree_walk_matches_oracle_in_order(w in 0usize..6, seed in any::<u64>()) {
+        let (tree, taxa) = random_shaped_tree(WIDTHS[w], seed, true);
+        let want = oracle(&tree, &taxa);
+        let mut scratch = BipartitionScratch::new();
+        prop_assert_eq!(batch_rows(&scratch.batch_splits(&tree, &taxa)), want.clone());
+        let mut visited = Vec::new();
+        scratch.for_each_split(&tree, &taxa, |m| visited.push(m.to_vec()));
+        let masks: Vec<Vec<u64>> = want.iter().map(|(m, _)| m.clone()).collect();
+        prop_assert_eq!(visited, masks);
+        prop_assert_eq!(scratch.split_count(&tree, &taxa), want.len());
+    }
+
+    #[test]
+    fn newick_driver_matches_oracle_in_order(w in 0usize..6, seed in any::<u64>()) {
+        let (tree, taxa) = random_shaped_tree(WIDTHS[w], seed, false);
+        let text = noisy_newick(&tree, &taxa, seed);
+        let parsed = parse_newick_readonly(&text, &taxa).expect("rendered text parses");
+        let want = oracle(&parsed, &taxa);
+        prop_assert_eq!(&want, &oracle(&tree, &taxa), "render lost a split: {}", text);
+        let mut scratch = BipartitionScratch::new();
+        let got = batch_rows(&scratch.batch_newick(&text, &taxa).expect("streams"));
+        prop_assert_eq!(got, want, "{}", text);
+    }
+
+    #[test]
+    fn newick_driver_errors_like_the_parser_on_soup(
+        s in "[(),;:A-Ea-e0-9.'\\[\\] _-]{0,160}",
+    ) {
+        let taxa = TaxonSet::with_numbered("", 0);
+        let mut taxa = taxa;
+        for l in ["A", "B", "C", "D", "E", "a", "b"] {
+            taxa.intern(l);
+        }
+        same_newick_outcome(&s, &taxa);
+    }
+
+    #[test]
+    fn newick_driver_errors_like_the_parser_on_mutations(
+        w in 0usize..6,
+        seed in any::<u64>(),
+        at in any::<usize>(),
+        cut in any::<usize>(),
+        replacement in "[(),;:'\\[\\]A-D0-9. ]",
+    ) {
+        let (tree, taxa) = random_shaped_tree(WIDTHS[w], seed, false);
+        let text = noisy_newick(&tree, &taxa, seed);
+        let mut bytes = text.clone().into_bytes();
+        let i = at % bytes.len();
+        bytes[i] = replacement.as_bytes()[0];
+        if let Ok(s) = std::str::from_utf8(&bytes) {
+            same_newick_outcome(s, &taxa);
+        }
+        same_newick_outcome(&text[..cut % (text.len() + 1)], &taxa);
+    }
+}
+
+/// The streaming Newick driver accepts exactly what the parser accepts,
+/// with the same error, and on success yields the tree walk's splits of
+/// the parsed tree. (Corruption can repeat a taxon, which the oracle's
+/// seen-set handles differently; the drivers must still agree.)
+fn same_newick_outcome(s: &str, taxa: &TaxonSet) {
+    let mut scratch = BipartitionScratch::new();
+    let mut walk = BipartitionScratch::new();
+    match (
+        parse_newick_readonly(s, taxa),
+        scratch.batch_newick(s, taxa),
+    ) {
+        (Ok(tree), Ok(batch)) => {
+            let want = batch_rows(&walk.batch_splits(&tree, taxa));
+            assert_eq!(batch_rows(&batch), want, "{s:?}")
+        }
+        (Err(a), Err(b)) => assert_eq!(a, b, "{s:?}"),
+        (a, b) => panic!("{s:?}: parser {a:?} vs driver {:?}", b.map(|b| b.len())),
+    }
+}

@@ -46,8 +46,8 @@ pub use file::{
 };
 pub use fnv::{fnv1a64, fnv1a64_words, Digest};
 pub use record::{
-    decode_tree, decode_tree_exact, encode_tree, encode_tree_vec, remap_leaf_taxa, FLAG_LENGTHS,
-    RECORD_TAG,
+    decode_splits_exact, decode_tree, decode_tree_exact, encode_tree, encode_tree_vec,
+    remap_leaf_taxa, FLAG_LENGTHS, RECORD_TAG,
 };
 pub use sniff::{
     read_collection_sniffed, read_trees_sniffed, sniff_is_binary, SniffedReader, WireFormat,

@@ -23,14 +23,16 @@
 //! ```
 //!
 //! The topology stream is the succinct balanced-parentheses encoding: `2n`
-//! bits carry the full shape, and a single forward pass rebuilds the arena
-//! with an explicit stack — the decoder never recurses, so adversarial
-//! 10M-node "trees" cost an allocation check, not a stack overflow.
+//! bits carry the full shape. The decoder validates a record completely
+//! (counting depth, never recursing, so adversarial 10M-node "trees" cost
+//! an allocation check, not a stack overflow), then replays the bits as
+//! [`TreeSink`] events — into a [`TreeBuilder`] for a [`Tree`], or into
+//! the split extractor for a served query, which needs no tree at all.
 
 use crate::fnv::fnv1a64_words;
 use crate::varint::{put_uvarint, take_uvarint};
 use crate::WireError;
-use phylo::{NodeId, TaxonId, Tree};
+use phylo::{BipartitionScratch, NodeId, SplitBatch, TaxonId, Tree, TreeBuilder, TreeSink};
 
 /// First byte of every tree record; doubles as the record format version.
 pub const RECORD_TAG: u8 = 0xB1;
@@ -169,14 +171,22 @@ pub fn encode_tree_vec(tree: &Tree) -> Result<Vec<u8>, WireError> {
     Ok(out)
 }
 
-/// Decode one tree record from the front of `buf`, validating every taxon
-/// id against the `n_taxa`-wide namespace. Returns the tree and the number
-/// of bytes consumed (the record is self-delimiting).
-///
-/// Never panics on corrupt input: every structural violation — bad tag,
-/// unbalanced parentheses, out-of-range or duplicate taxa, non-canonical
-/// padding bits, checksum mismatch, truncation — is a typed [`WireError`].
-pub fn decode_tree(buf: &[u8], n_taxa: usize) -> Result<(Tree, usize), WireError> {
+/// Where a validated record's sections sit in its buffer.
+struct Layout {
+    n_nodes: usize,
+    topo_at: usize,
+    taxa_at: usize,
+    /// Start of the presence bitmap, when the record carries lengths.
+    presence_at: Option<usize>,
+    /// Bytes the record spans, checksum included.
+    len: usize,
+}
+
+/// Check everything about the record at the front of `buf` — header,
+/// topology, taxa, lengths, checksum — without building anything. Every
+/// decode goes through here first, so all front ends report the same
+/// error for the same bytes.
+fn validate(buf: &[u8], n_taxa: usize) -> Result<Layout, WireError> {
     let mut pos = 0usize;
     let Some(&tag) = buf.first() else {
         return Err(WireError::Truncated {
@@ -246,59 +256,42 @@ pub fn decode_tree(buf: &[u8], n_taxa: usize) -> Result<(Tree, usize), WireError
             return Err(WireError::corrupt(topo_at, "nonzero topology padding bits"));
         }
     }
-
-    let mut tree = Tree::with_node_capacity(n_nodes);
-    let mut stack: Vec<NodeId> = Vec::new();
-    let mut order: Vec<NodeId> = Vec::with_capacity(n_nodes);
-    let mut leaves: Vec<NodeId> = Vec::with_capacity(n_leaves);
+    // Branch-free scan (open/close bits are a coin flip to a predictor);
+    // only a broken stream goes back for the bit that broke it.
+    let (mut depth, mut nodes, mut leaves) = (0usize, 0usize, 0usize);
+    let (mut prev_open, mut broken) = (0usize, false);
     for i in 0..2 * n_nodes {
-        if get_bit(topo, i) {
-            let node = match stack.last() {
-                Some(&parent) => tree.add_child(parent),
-                None => {
-                    if tree.root().is_some() {
-                        return Err(WireError::corrupt(topo_at, "topology encodes a forest"));
-                    }
-                    tree.add_root()
-                }
-            };
-            order.push(node);
-            stack.push(node);
-        } else {
-            let Some(node) = stack.pop() else {
-                return Err(WireError::corrupt(topo_at, "unbalanced topology bits"));
-            };
-            if tree.children(node).is_empty() {
-                leaves.push(node);
-            }
-        }
+        let open = usize::from(get_bit(topo, i));
+        broken |= (depth == 0) & ((nodes != 0) | (open == 0));
+        depth = depth.wrapping_add(2 * open).wrapping_sub(1);
+        nodes += open;
+        leaves += prev_open & (open ^ 1);
+        prev_open = open;
     }
-    if !stack.is_empty() {
+    if broken {
+        return Err(topology_break(topo, n_nodes, topo_at));
+    }
+    if depth != 0 {
         return Err(WireError::corrupt(topo_at, "unbalanced topology bits"));
     }
-    if order.len() != n_nodes {
+    if nodes != n_nodes {
         return Err(WireError::corrupt(
             topo_at,
-            format!(
-                "topology holds {} nodes, header says {n_nodes}",
-                order.len()
-            ),
+            format!("topology holds {nodes} nodes, header says {n_nodes}"),
         ));
     }
-    if leaves.len() != n_leaves {
+    if leaves != n_leaves {
         return Err(WireError::corrupt(
             topo_at,
-            format!(
-                "topology holds {} leaves, header says {n_leaves}",
-                leaves.len()
-            ),
+            format!("topology holds {leaves} leaves, header says {n_leaves}"),
         ));
     }
 
     // Leaf taxa, preorder. Duplicate detection doubles as the
     // more-leaves-than-taxa guard.
-    let mut seen = vec![false; n_taxa];
-    for &leaf in &leaves {
+    let taxa_at = pos;
+    let mut seen = vec![0u64; n_taxa.div_ceil(64)];
+    for _ in 0..n_leaves {
         let at = pos;
         let id = take_uvarint(buf, &mut pos, "leaf taxon id")?;
         if id >= n_taxa as u64 {
@@ -307,12 +300,14 @@ pub fn decode_tree(buf: &[u8], n_taxa: usize) -> Result<(Tree, usize), WireError
                 format!("taxon id {id} out of range (namespace holds {n_taxa})"),
             ));
         }
-        if std::mem::replace(&mut seen[id as usize], true) {
+        let (w, bit) = (id as usize / 64, 1u64 << (id % 64));
+        if seen[w] & bit != 0 {
             return Err(WireError::corrupt(at, format!("duplicate taxon id {id}")));
         }
-        tree.set_taxon(leaf, Some(TaxonId(id as u32)));
+        seen[w] |= bit;
     }
 
+    let mut presence_at = None;
     if flags & FLAG_LENGTHS != 0 {
         let map_bytes = n_nodes.div_ceil(8);
         let Some(presence) = buf.get(pos..pos + map_bytes) else {
@@ -321,17 +316,17 @@ pub fn decode_tree(buf: &[u8], n_taxa: usize) -> Result<(Tree, usize), WireError
                 what: "length presence bitmap",
             });
         };
-        let presence_at = pos;
+        presence_at = Some(pos);
         pos += map_bytes;
         for i in n_nodes..map_bytes * 8 {
             if get_bit(presence, i) {
                 return Err(WireError::corrupt(
-                    presence_at,
+                    presence_at.expect("just set"),
                     "nonzero presence padding bits",
                 ));
             }
         }
-        for (i, &node) in order.iter().enumerate() {
+        for i in 0..n_nodes {
             if get_bit(presence, i) {
                 let Some(raw) = buf.get(pos..pos + 8) else {
                     return Err(WireError::Truncated {
@@ -343,7 +338,6 @@ pub fn decode_tree(buf: &[u8], n_taxa: usize) -> Result<(Tree, usize), WireError
                 if !v.is_finite() {
                     return Err(WireError::corrupt(pos, "non-finite edge length"));
                 }
-                tree.set_length(node, Some(v));
                 pos += 8;
             }
         }
@@ -359,22 +353,121 @@ pub fn decode_tree(buf: &[u8], n_taxa: usize) -> Result<(Tree, usize), WireError
     if stored != record_sum(&buf[..pos]) {
         return Err(WireError::corrupt(pos, "record checksum mismatch"));
     }
-    pos += 4;
-    Ok((tree, pos))
+    Ok(Layout {
+        n_nodes,
+        topo_at,
+        taxa_at,
+        presence_at,
+        len: pos + 4,
+    })
+}
+
+/// The error for the first bit at which `topo` stops being one balanced
+/// tree: an enter bit after the root closed, or a leave bit with nothing
+/// open.
+fn topology_break(topo: &[u8], n_nodes: usize, topo_at: usize) -> WireError {
+    let mut depth = 0usize;
+    for i in 0..2 * n_nodes {
+        if get_bit(topo, i) {
+            if depth == 0 && i > 0 {
+                return WireError::corrupt(topo_at, "topology encodes a forest");
+            }
+            depth += 1;
+        } else if depth == 0 {
+            break;
+        } else {
+            depth -= 1;
+        }
+    }
+    WireError::corrupt(topo_at, "unbalanced topology bits")
+}
+
+/// Replay a validated record as [`TreeSink`] events: one `open` per enter
+/// bit (followed by the node's length, if present), one `close` per leave
+/// bit — preceded by the leaf's taxon when it directly follows an enter.
+fn emit<S: TreeSink>(buf: &[u8], at: &Layout, sink: &mut S) {
+    let n = at.n_nodes;
+    let topo = &buf[at.topo_at..];
+    let mut taxa_pos = at.taxa_at;
+    let mut lengths = at
+        .presence_at
+        .filter(|_| S::READS_LENGTHS)
+        .map(|p| (&buf[p..], p + n.div_ceil(8)));
+    let (mut preorder, mut prev_open) = (0usize, false);
+    for i in 0..2 * n {
+        let open = get_bit(topo, i);
+        if open {
+            sink.open();
+            if let Some((presence, values)) = &mut lengths {
+                if get_bit(presence, preorder) {
+                    let raw = &buf[*values..*values + 8];
+                    sink.length(f64::from_le_bytes(raw.try_into().expect("8-byte slice")));
+                    *values += 8;
+                }
+            }
+            preorder += 1;
+        } else {
+            if prev_open {
+                let id =
+                    take_uvarint(buf, &mut taxa_pos, "leaf taxon id").expect("leaf taxa validated");
+                sink.taxon(TaxonId(id as u32));
+            }
+            sink.close();
+        }
+        prev_open = open;
+    }
+}
+
+/// Decode one tree record from the front of `buf`, validating every taxon
+/// id against the `n_taxa`-wide namespace. Returns the tree and the number
+/// of bytes consumed (the record is self-delimiting).
+///
+/// Never panics on corrupt input: every structural violation — bad tag,
+/// unbalanced parentheses, out-of-range or duplicate taxa, non-canonical
+/// padding bits, checksum mismatch, truncation — is a typed [`WireError`].
+pub fn decode_tree(buf: &[u8], n_taxa: usize) -> Result<(Tree, usize), WireError> {
+    let at = validate(buf, n_taxa)?;
+    let mut tree = TreeBuilder::with_node_capacity(at.n_nodes);
+    emit(buf, &at, &mut tree);
+    Ok((tree.finish(), at.len))
+}
+
+/// The exact-span check shared by the whole-buffer decoders.
+fn validate_exact(buf: &[u8], n_taxa: usize) -> Result<Layout, WireError> {
+    let at = validate(buf, n_taxa)?;
+    if at.len != buf.len() {
+        return Err(WireError::corrupt(
+            at.len,
+            format!("{} trailing bytes after record", buf.len() - at.len),
+        ));
+    }
+    Ok(at)
 }
 
 /// [`decode_tree`] that additionally requires the record to span the whole
 /// buffer — the right call for WAL payloads and wire frames, where one
 /// payload is exactly one record.
 pub fn decode_tree_exact(buf: &[u8], n_taxa: usize) -> Result<Tree, WireError> {
-    let (tree, used) = decode_tree(buf, n_taxa)?;
-    if used != buf.len() {
-        return Err(WireError::corrupt(
-            used,
-            format!("{} trailing bytes after record", buf.len() - used),
-        ));
-    }
-    Ok(tree)
+    let at = validate_exact(buf, n_taxa)?;
+    let mut tree = TreeBuilder::with_node_capacity(at.n_nodes);
+    emit(buf, &at, &mut tree);
+    Ok(tree.finish())
+}
+
+/// The split batch of the one record spanning `buf`, extracted straight
+/// from its topology bits and leaf ids — no [`Tree`] is built. Accepts and
+/// rejects exactly what [`decode_tree_exact`] does, with the same errors;
+/// on success the batch equals `scratch.batch_splits` of the decoded tree.
+pub fn decode_splits_exact<'s>(
+    buf: &[u8],
+    n_taxa: usize,
+    scratch: &'s mut BipartitionScratch,
+) -> Result<SplitBatch<'s>, WireError> {
+    scratch.batch_from(n_taxa, |sink| {
+        let at = validate_exact(buf, n_taxa)?;
+        emit(buf, &at, sink);
+        Ok(())
+    })
 }
 
 /// Rewrite every leaf's taxon id through `map` (file-local id → caller

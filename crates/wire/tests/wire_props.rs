@@ -6,7 +6,10 @@
 //! spanning the one-word/multi-word boundary (15..129 taxa),
 //! multifurcations, edge lengths, and single-taxon degenerate trees; and
 //! every byte flip or truncation of a record or container surfaces as a
-//! typed error, never a panic and never a silently wrong tree.
+//! typed error, never a panic and never a silently wrong tree. The
+//! tree-free split driver (`decode_splits_exact`) must match the
+//! `Tree::bipartitions` oracle split for split, and fail exactly where
+//! `decode_tree_exact` fails, with the same error.
 
 use bfhrf::Bfh;
 use phylo::{
@@ -14,8 +17,8 @@ use phylo::{
     Tree, TreeCollection,
 };
 use phylo_wire::{
-    collection_to_vec, decode_tree, decode_tree_exact, encode_tree_vec, read_collection_sniffed,
-    read_trees_sniffed, WireError, FILE_MAGIC,
+    collection_to_vec, decode_splits_exact, decode_tree, decode_tree_exact, encode_tree_vec,
+    read_collection_sniffed, read_trees_sniffed, WireError, FILE_MAGIC,
 };
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -378,5 +381,136 @@ fn every_container_truncation_fails_strict_reads_without_panicking() {
         }
         // Shorter-than-magic prefixes sniff as Newick; they may parse as
         // an empty collection, but must never panic.
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The record split driver vs the `Tree::bipartitions` oracle and the tree
+// decoder.
+// ---------------------------------------------------------------------------
+
+/// Namespace widths around the one-word/multi-word boundaries.
+const WIDTHS: [usize; 6] = [15, 63, 64, 65, 128, 129];
+
+/// A random tree over a random subset (1..=width taxa): multifurcations up
+/// to 5 children, unary chains, and edge lengths.
+fn random_partial_tree(width: usize, seed: u64) -> (Tree, TaxonSet) {
+    let taxa = TaxonSet::with_numbered("t", width);
+    let mut rng = StdRng::seed_from_u64(seed);
+    let want = match rng.random_range(0..4) {
+        0 => rng.random_range(1..=3.min(width)),
+        1 => width,
+        _ => rng.random_range(1..=width),
+    };
+    let mut ids: Vec<u32> = (0..width as u32).collect();
+    for i in 0..want {
+        let j = rng.random_range(i..ids.len());
+        ids.swap(i, j);
+    }
+    ids.truncate(want);
+    let (mut tree, root) = Tree::with_root();
+    let mut todo = vec![(root, ids)];
+    while let Some((node, part)) = todo.pop() {
+        if rng.random_range(0..3) == 0 {
+            tree.set_length(node, Some(rng.random_range(0..10_000) as f64 / 64.0));
+        }
+        if part.len() == 1 {
+            let mut at = node;
+            for _ in 0..rng.random_range(0..3) / 2 {
+                at = tree.add_child(at);
+            }
+            tree.add_leaf(at, TaxonId(part[0]));
+            continue;
+        }
+        if rng.random_range(0..8) == 0 {
+            let unary = tree.add_child(node);
+            todo.push((unary, part));
+            continue;
+        }
+        let groups = rng.random_range(2..=5.min(part.len()));
+        let mut cuts: Vec<usize> = (1..part.len()).collect();
+        for i in 0..groups - 1 {
+            let j = rng.random_range(i..cuts.len());
+            cuts.swap(i, j);
+        }
+        let mut cuts = cuts[..groups - 1].to_vec();
+        cuts.sort_unstable();
+        cuts.push(part.len());
+        let mut start = 0;
+        for cut in cuts {
+            let child = tree.add_child(node);
+            todo.push((child, part[start..cut].to_vec()));
+            start = cut;
+        }
+    }
+    (tree, taxa)
+}
+
+type Rows = Vec<(Vec<u64>, u128)>;
+
+fn oracle_rows(tree: &Tree, taxa: &TaxonSet) -> Rows {
+    tree.bipartitions(taxa)
+        .into_iter()
+        .map(|b| {
+            let w = b.bits().words().to_vec();
+            let h = phylo_bitset::split_hash128(&w);
+            (w, h)
+        })
+        .collect()
+}
+
+fn rows(batch: &phylo::SplitBatch<'_>) -> Rows {
+    (0..batch.len())
+        .map(|i| (batch.mask(i).to_vec(), batch.hash(i)))
+        .collect()
+}
+
+/// The split driver rejects exactly what `decode_tree_exact` rejects, with
+/// the same error, and otherwise yields the decoded tree's splits.
+fn same_record_outcome(buf: &[u8], taxa: &TaxonSet, scratch: &mut BipartitionScratch) {
+    let streamed = decode_splits_exact(buf, taxa.len(), scratch).map(|b| rows(&b));
+    match (decode_tree_exact(buf, taxa.len()), streamed) {
+        (Ok(tree), Ok(got)) => {
+            let mut walk = BipartitionScratch::new();
+            assert_eq!(got, rows(&walk.batch_splits(&tree, taxa)));
+        }
+        (Err(a), Err(b)) => assert_eq!(format!("{a:?}"), format!("{b:?}")),
+        (a, b) => panic!("tree decoder {a:?} vs split driver {b:?}"),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    #[test]
+    fn record_split_driver_matches_oracle_in_order(w in 0usize..6, seed in any::<u64>()) {
+        let (tree, taxa) = random_partial_tree(WIDTHS[w], seed);
+        let rec = encode_tree_vec(&tree).expect("encodable");
+        let mut scratch = BipartitionScratch::new();
+        let got = rows(&decode_splits_exact(&rec, taxa.len(), &mut scratch).expect("decodes"));
+        prop_assert_eq!(got, oracle_rows(&tree, &taxa));
+    }
+
+    #[test]
+    fn record_split_driver_errors_like_the_tree_decoder(
+        w in 0usize..6,
+        seed in any::<u64>(),
+        at in any::<usize>(),
+        bit in 0u8..8,
+        cut in any::<usize>(),
+    ) {
+        let (tree, taxa) = random_partial_tree(WIDTHS[w], seed);
+        let rec = encode_tree_vec(&tree).unwrap();
+        let mut scratch = BipartitionScratch::new();
+        let mut flipped = rec.clone();
+        flipped[at % rec.len()] ^= 1 << bit;
+        same_record_outcome(&flipped, &taxa, &mut scratch);
+        same_record_outcome(&rec[..cut % (rec.len() + 1)], &taxa, &mut scratch);
+        let mut longer = rec.clone();
+        longer.push(0);
+        same_record_outcome(&longer, &taxa, &mut scratch);
+        // Too narrow a namespace: out-of-range ids.
+        let narrow = TaxonSet::with_numbered("t", taxa.len() / 2);
+        same_record_outcome(&rec, &narrow, &mut scratch);
     }
 }
