@@ -5,7 +5,7 @@
 //! query_bench [--fast] [--trees R] [--queries Q] [--repeats K] [--out FILE]
 //! ```
 //!
-//! Seven sections, one file:
+//! Six sections, one file:
 //!
 //! 1. **Single-thread probe path**: the headline. Query splits are
 //!    extracted and hashed once up front (both paths share that cost in
@@ -14,38 +14,30 @@
 //!    split) vs the frozen pipelined kernel
 //!    (`FrozenBfh::frequency_sum_batch`). Target: ≥ 1.5× (measured
 //!    ~2×). Reported as median seconds with CV and probes/second.
-//! 2. **Probe-engine ablation**: the frozen kernel raced against itself
-//!    with the group scan forced scalar (`ProbeMode::Scalar`) vs forced
-//!    vector (`ProbeMode::Simd`), sums asserted bit-identical first.
-//!    The two engines differ by a few ns/probe — inside run-to-run
-//!    noise on a busy host — so rounds alternate scalar/simd and each
-//!    side keeps its best round, the same protocol the obs section
-//!    uses. The cell names the auto-resolved engine
-//!    ("sse2"/"neon"/"scalar") and whether a vector engine is actually
-//!    available, so a reader can tell a genuine SIMD win from a
-//!    scalar-vs-scalar tie on a host without one.
-//! 3. **Wire ablation**: rebuilding a `Tree` per wire item by Newick
+//! 2. **Wire ablation**: rebuilding a `Tree` per wire item by Newick
 //!    parse vs phylo-wire binary decode (`decode_tree_exact`), splits
-//!    asserted bitwise identical (masks and hashes) before timing; same
-//!    interleaved best-of-N protocol. Target: decode ≥ 5× faster per
-//!    tree. The cell also records the payload sizes of both encodings.
-//! 4. **End-to-end**: full single-thread query scoring — extraction +
+//!    asserted bitwise identical (masks and hashes) before timing. Rounds
+//!    alternate parse/decode so a noisy neighbour taxes both sides
+//!    equally, and each side keeps its best round, the same protocol the
+//!    obs section uses. Target: decode ≥ 5× faster per tree. The cell
+//!    also records the payload sizes of both encodings.
+//! 3. **End-to-end**: full single-thread query scoring — extraction +
 //!    hashing + probing + Algorithm 2 — live (`bfhrf_average_scratch`
 //!    over `Bfh`) vs frozen (`FrozenBfh::average_scratch`). Extraction
 //!    dominates here (~70% of a query at n = 144), so this speedup is
 //!    the diluted, whole-pipeline view of the same kernel win.
-//! 5. **Multi-thread**: the same batch through the parallel comparators.
+//! 4. **Multi-thread**: the same batch through the parallel comparators.
 //!    The cell records the detected core count — on a 1-core host the
 //!    rayon pools serialize and the frozen-vs-live ratio collapses
 //!    toward the end-to-end ratio, which is expected, not a regression.
-//! 6. **Serve**: q/s of a real `bfhrf serve` daemon (frozen snapshot
+//! 5. **Serve**: q/s of a real `bfhrf serve` daemon (frozen snapshot
 //!    path) over one connection, three ways — strict request/response
 //!    single-op frames, the same frames pipelined (window of 32 in
 //!    flight), and v2 `batch` frames (64 queries each) — next to an
 //!    in-process emulation of the pre-freeze request path (parse + live
 //!    sequential probe per request) for the before/after contrast. Each
 //!    cell keeps its peak q/s over `repeats` rounds.
-//! 7. **Obs overhead**: the frozen probe loop bare vs wrapped in the
+//! 6. **Obs overhead**: the frozen probe loop bare vs wrapped in the
 //!    same request-boundary instrumentation the serve daemon uses (one
 //!    clock pair + histogram record + counter bump per request, where
 //!    one request covers the whole query batch, as served avgrf does).
@@ -195,67 +187,6 @@ fn main() {
         frozen_probe.cv
     );
 
-    // -------- probe-engine ablation: scalar vs SIMD group scan ---------
-    // Same frozen table, same batches, only the group-scan engine
-    // differs. Bit-identical sums are asserted before any timing so the
-    // ablation can never trade correctness for throughput.
-    let engine_auto = bfhrf::ProbeMode::Auto.engine().name();
-    let simd_real = bfhrf::simd_available();
-    eprintln!(
-        "[query_bench] probe ablation: scalar vs simd group scan (auto engine: {engine_auto}, simd available: {simd_real}) ..."
-    );
-    {
-        let mut scalar_sum = 0u64;
-        let mut simd_sum = 0u64;
-        for (words, masks, hashes) in &batches {
-            let batch = phylo::SplitBatch::from_parts(*words, masks, hashes);
-            scalar_sum += frozen.frequency_sum_batch_with(bfhrf::ProbeMode::Scalar, &batch);
-            simd_sum += frozen.frequency_sum_batch_with(bfhrf::ProbeMode::Simd, &batch);
-        }
-        assert_eq!(scalar_sum, simd_sum, "scalar and simd probes diverged");
-    }
-    // The two engines differ by a handful of ns/probe, well inside this
-    // host's run-to-run noise, so the ablation uses the same protocol as
-    // the obs section below: rounds alternate scalar/simd so a noisy
-    // neighbour taxes both sides equally, and each side is scored by its
-    // best round — additive noise only ever inflates a round, so the
-    // minimum is the closest estimate of the true kernel cost.
-    let probe_round = |mode: bfhrf::ProbeMode| {
-        let t = Instant::now();
-        let mut acc = 0u64;
-        for (words, masks, hashes) in &batches {
-            let batch = phylo::SplitBatch::from_parts(*words, masks, hashes);
-            acc += frozen.frequency_sum_batch_with(mode, &batch);
-        }
-        std::hint::black_box(acc);
-        t.elapsed().as_secs_f64()
-    };
-    let ablation_rounds = repeats.max(5) * 2;
-    let (scalar_probe, simd_probe) = {
-        probe_round(bfhrf::ProbeMode::Scalar); // warmup
-        probe_round(bfhrf::ProbeMode::Simd);
-        let mut scalar_times = Vec::with_capacity(ablation_rounds);
-        let mut simd_times = Vec::with_capacity(ablation_rounds);
-        for _ in 0..ablation_rounds {
-            scalar_times.push(probe_round(bfhrf::ProbeMode::Scalar));
-            simd_times.push(probe_round(bfhrf::ProbeMode::Simd));
-        }
-        let best = |ts: &[f64]| ts.iter().copied().fold(f64::INFINITY, f64::min);
-        let cv = bfhrf_bench::stats::coeff_of_variation;
-        (
-            (best(&scalar_times), cv(&scalar_times)),
-            (best(&simd_times), cv(&simd_times)),
-        )
-    };
-    let probe_ablation_speedup = scalar_probe.0 / simd_probe.0;
-    eprintln!(
-        "[query_bench] probe ablation: scalar {:.1} ns/probe (cv {:.3}), simd {:.1} ns/probe (cv {:.3}) → {probe_ablation_speedup:.2}x",
-        scalar_probe.0 * 1e9 / total_probes as f64,
-        scalar_probe.1,
-        simd_probe.0 * 1e9 / total_probes as f64,
-        simd_probe.1
-    );
-
     // -------- wire ablation: Newick parse vs binary record decode -------
     // The serve payload path rebuilds a `Tree` per wire item either by
     // parsing Newick text or by decoding a phylo-wire record. Both
@@ -293,7 +224,9 @@ fn main() {
             assert_eq!(ph, bd.hashes(), "decoded split hashes diverged");
         }
     }
-    // Same interleaved best-of-N protocol as the other micro-ablations.
+    // Interleaved best-of-N: rounds alternate parse/decode and each side is
+    // scored by its best round — additive noise only ever inflates a
+    // round, so the minimum is the closest estimate of the true cost.
     let wire_round = |decode: bool| {
         let t = Instant::now();
         let mut acc = 0usize;
@@ -313,6 +246,7 @@ fn main() {
         std::hint::black_box(acc);
         t.elapsed().as_secs_f64()
     };
+    let ablation_rounds = repeats.max(5) * 2;
     let (wire_parse, wire_decode) = {
         wire_round(false); // warmup
         wire_round(true);
@@ -681,26 +615,6 @@ fn main() {
                     (total_probes as f64 / frozen_probe.median_s / 1e6).into(),
                 ),
                 ("speedup", probe_speedup.into()),
-            ]),
-        ),
-        (
-            "probe_ablation",
-            Json::obj(vec![
-                ("engine", engine_auto.into()),
-                ("simd_available", simd_real.into()),
-                ("scalar_seconds", scalar_probe.0.into()),
-                ("scalar_cv", scalar_probe.1.into()),
-                (
-                    "scalar_mprobes_per_s",
-                    (total_probes as f64 / scalar_probe.0 / 1e6).into(),
-                ),
-                ("simd_seconds", simd_probe.0.into()),
-                ("simd_cv", simd_probe.1.into()),
-                (
-                    "simd_mprobes_per_s",
-                    (total_probes as f64 / simd_probe.0 / 1e6).into(),
-                ),
-                ("speedup", probe_ablation_speedup.into()),
             ]),
         ),
         (

@@ -10,8 +10,12 @@
 //! | `repro tbl3`     | Table III (Insect, all algorithms) |
 //! | `repro tbl4`     | Table IV (variable taxa) + §VI.C linearity stats |
 //! | `repro tbl5`     | Table V / Figure 2 (variable trees) |
-//! | `repro ablations`| hash-build, thread-scaling, ID-width, filter ablations |
+//! | `repro ablations`| hash-build, thread-scaling, ID-width, Day-vs-sets, compact-key, PGM-vs-BFHRF, filter ablations |
 //! | `repro all`      | everything above |
+//!
+//! Each timed ablation pair asserts that both sides give equal answers
+//! before it times them. The `build_bench`, `index_bench` and
+//! `query_bench` binaries emit the `BENCH_*.json` files.
 //!
 //! Measurements follow the paper's protocol: wall-clock runtime, maximum
 //! resident memory (here: a byte-exact peak-allocation counter instead of

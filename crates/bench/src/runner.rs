@@ -7,11 +7,11 @@
 //! holds the hash. `Q` is `R` throughout, as in the paper's runs.
 
 use crate::datasets::{prefix, prepare, PreparedDataset};
-use crate::measure::{measured, Measurement};
+use crate::measure::{measured, measured_repeats, Measurement, RepeatStats};
 use crate::stats;
 use bfhrf::{bfhrf_average, Bfh, HashRf, HashRfConfig};
 use phylo::newick::NewickStream;
-use phylo::{BipartitionSet, TaxaPolicy, TaxonSet, Tree};
+use phylo::{BipartitionSet, TaxaPolicy, TaxonSet, Tree, TreeCollection};
 use phylo_sim::DatasetSpec;
 use rayon::prelude::*;
 use std::fmt::Write as _;
@@ -510,7 +510,10 @@ impl Experiment {
     }
 
     /// Ablations on the design choices: parallel hash build, thread
-    /// scaling, HashRF ID width vs error, size-filter overhead.
+    /// scaling, HashRF ID width vs error, Day vs set-difference pairwise
+    /// RF, compact vs plain keys, PGM one-vs-one vs BFHRF tree-vs-hash,
+    /// size-filter overhead. Every timed pair of rows asserts that both
+    /// sides give equal answers before it times them.
     pub fn ablations(&self) -> String {
         let mut out = String::from("## Ablations\n");
         let (n, r) = match self.scale {
@@ -568,7 +571,26 @@ impl Experiment {
             );
         }
 
-        // 4. compressed-key hash: memory vs the plain hash (§IX extension)
+        // 4. pairwise RF: Day's O(n) algorithm vs the set difference
+        let pairs = prepare(&DatasetSpec::new("pairwise", 500, 8, 3));
+        let pairs = phylo::TreeCollection::parse(&pairs.newick).unwrap();
+        assert_eq!(
+            day_pairs(&pairs),
+            set_pairs(&pairs),
+            "Day and set-difference RF must agree"
+        );
+        let n_pairs = pairs.len() * (pairs.len() - 1) / 2;
+        let day = measured_repeats(1, ROW_REPEATS, || day_pairs(&pairs));
+        let sets = measured_repeats(1, ROW_REPEATS, || set_pairs(&pairs));
+        let _ = writeln!(
+            out,
+            "pairwise RF (n=500, {n_pairs} pairs): Day {} vs set difference {} per pair",
+            per_item_us(&day, n_pairs),
+            per_item_us(&sets, n_pairs),
+        );
+
+        // 5. compressed-key hash (§IX extension): memory and query time vs
+        // the plain hash
         let wide = prepare(&DatasetSpec::new("compact", 500, 200, 12));
         let wide_coll = phylo::TreeCollection::parse(&wide.newick).unwrap();
         let (plain, plain_m) = measured(|| Bfh::build(&wide_coll.trees, &wide_coll.taxa));
@@ -580,16 +602,76 @@ impl Experiment {
             compact_m.memory_mb(),
             compact.key_bytes() as f64 / 1e6,
         );
-        let checks: Vec<_> = wide_coll.trees.iter().take(3).collect();
-        for q in checks {
-            assert_eq!(
-                bfhrf_average(q, &wide_coll.taxa, &plain),
-                compact.average_rf(q, &wide_coll.taxa),
-                "compact hash must answer identically"
-            );
-        }
+        let plain_queries = || -> Vec<_> {
+            let taxa = &wide_coll.taxa;
+            wide_coll
+                .trees
+                .iter()
+                .map(|q| bfhrf_average(q, taxa, &plain))
+                .collect()
+        };
+        let compact_queries = || -> Vec<_> {
+            let taxa = &wide_coll.taxa;
+            wide_coll
+                .trees
+                .iter()
+                .map(|q| compact.average_rf(q, taxa))
+                .collect()
+        };
+        assert_eq!(
+            plain_queries(),
+            compact_queries(),
+            "compact hash must answer identically"
+        );
+        let q = wide_coll.len();
+        let plain_t = measured_repeats(1, ROW_REPEATS, plain_queries);
+        let compact_t = measured_repeats(1, ROW_REPEATS, compact_queries);
+        let _ = writeln!(
+            out,
+            "compact hash (n=500, r=200): compact keys {} vs plain {} per query",
+            per_item_us(&compact_t, q),
+            per_item_us(&plain_t, q),
+        );
 
-        // 5. bipartition-size filter overhead
+        // 6. PGM-Hashed stays one-vs-one (q·r signature merges) against
+        // BFHRF's q hash probes; both get preprocessed inputs, isolating
+        // the comparison structure itself
+        let pgm_coll =
+            phylo::TreeCollection::parse(&prepare(&DatasetSpec::new("pgm", 100, 500, 6)).newick)
+                .unwrap();
+        let hasher = bfhrf::pgm::PgmHasher::new(100, 64, 9);
+        let sigs: Vec<_> = pgm_coll
+            .trees
+            .iter()
+            .map(|t| hasher.signature(t, &pgm_coll.taxa))
+            .collect();
+        let pgm_bfh = Bfh::build(&pgm_coll.trees, &pgm_coll.taxa);
+        let pgm_queries =
+            || -> Vec<f64> { sigs.iter().map(|q| hasher.average_rf(q, &sigs)).collect() };
+        let bfhrf_queries = || -> Vec<f64> {
+            let taxa = &pgm_coll.taxa;
+            pgm_coll
+                .trees
+                .iter()
+                .map(|q| bfhrf_average(q, taxa, &pgm_bfh).average())
+                .collect()
+        };
+        assert_eq!(
+            pgm_queries(),
+            bfhrf_queries(),
+            "64-bit PGM signatures must answer like BFHRF"
+        );
+        let q = pgm_coll.len();
+        let pgm_t = measured_repeats(1, ROW_REPEATS, pgm_queries);
+        let bfhrf_t = measured_repeats(1, ROW_REPEATS, bfhrf_queries);
+        let _ = writeln!(
+            out,
+            "PGM vs BFHRF (n=100, r=500): PGM one-vs-one {} vs BFHRF tree-vs-hash {} per query",
+            per_item_us(&pgm_t, q),
+            per_item_us(&bfhrf_t, q),
+        );
+
+        // 7. bipartition-size filter overhead
         let (_, unfiltered) = measured(|| {
             coll.trees
                 .iter()
@@ -682,50 +764,43 @@ pub fn build_ablation(coll: &phylo::TreeCollection, thread_counts: &[usize]) -> 
     cells
 }
 
-/// Expose the per-algorithm runners for the criterion benches: each bench
-/// wants one algorithm on one prepared dataset without the table plumbing.
-pub mod algorithms {
-    use super::*;
-
-    /// BFHRF text-to-result; returns the mean average RF.
-    pub fn bfhrf_mean(ds: &PreparedDataset, threads: Option<usize>) -> f64 {
-        match run_bfhrf(ds, threads) {
-            Outcome::Ran(_, mean) => mean,
-            Outcome::Refused(w) => panic!("bfhrf refused: {w}"),
+/// Σ of a pairwise RF over every pair of trees in `coll`.
+fn sum_over_pairs(coll: &TreeCollection, rf: impl Fn(&Tree, &Tree) -> usize) -> u64 {
+    let trees = &coll.trees;
+    let mut total = 0u64;
+    for (i, a) in trees.iter().enumerate() {
+        for b in &trees[i + 1..] {
+            total += rf(a, b) as u64;
         }
     }
+    total
+}
 
-    /// DS/DSMP text-to-result (no extrapolation guard — keep datasets
-    /// small in benches); returns the mean average RF of the measured
-    /// prefix.
-    pub fn ds_mean(ds: &PreparedDataset, threads: Option<usize>) -> f64 {
-        match run_ds(ds, threads) {
-            Outcome::Ran(_, mean) => mean,
-            Outcome::Refused(w) => panic!("ds refused: {w}"),
-        }
-    }
+/// Σ Day RF (linear time) over every pair.
+fn day_pairs(coll: &TreeCollection) -> u64 {
+    sum_over_pairs(coll, |a, b| bfhrf::day_rf(a, b, &coll.taxa))
+}
 
-    /// HashRF text-to-result; returns the mean of the matrix row averages.
-    pub fn hashrf_mean(ds: &PreparedDataset, mem_budget: usize) -> f64 {
-        match run_hashrf(ds, mem_budget) {
-            Outcome::Ran(_, mean) => mean,
-            Outcome::Refused(w) => panic!("hashrf refused: {w}"),
-        }
-    }
+/// Σ set-difference RF over every pair. Both split sets are rebuilt per
+/// pair, as a one-off pairwise call pays for them.
+fn set_pairs(coll: &TreeCollection) -> u64 {
+    sum_over_pairs(coll, |a, b| {
+        let a = BipartitionSet::from_tree(a, &coll.taxa);
+        a.rf_distance(&BipartitionSet::from_tree(b, &coll.taxa))
+    })
+}
 
-    /// Day's algorithm summed over all pairs of the first `k` trees
-    /// (pairwise-oracle bench).
-    pub fn day_pairs(ds: &PreparedDataset, k: usize) -> u64 {
-        let coll = phylo::TreeCollection::parse(&ds.newick).unwrap();
-        let k = k.min(coll.len());
-        let mut total = 0u64;
-        for i in 0..k {
-            for j in (i + 1)..k {
-                total += bfhrf::day_rf(&coll.trees[i], &coll.trees[j], &coll.taxa) as u64;
-            }
-        }
-        total
-    }
+/// Repeats per side of a timed ablation row: one warmup, then the median
+/// (with its CV) of this many runs.
+const ROW_REPEATS: usize = 5;
+
+/// `"12.3 us (cv 0.041)"`: the median time per item of one side.
+fn per_item_us(stats: &RepeatStats, items: usize) -> String {
+    format!(
+        "{:.1} us (cv {:.3})",
+        stats.median_s * 1e6 / items.max(1) as f64,
+        stats.cv
+    )
 }
 
 #[cfg(test)]
@@ -736,14 +811,21 @@ mod tests {
         prepare(&DatasetSpec::new("tiny", 10, 40, 7))
     }
 
+    fn mean(outcome: Outcome) -> f64 {
+        match outcome {
+            Outcome::Ran(_, mean) => mean,
+            Outcome::Refused(why) => panic!("runner refused: {why}"),
+        }
+    }
+
     #[test]
     fn all_runners_agree_on_checksum() {
         let ds = tiny();
-        let a = algorithms::bfhrf_mean(&ds, None);
-        let b = algorithms::bfhrf_mean(&ds, Some(2));
-        let c = algorithms::ds_mean(&ds, None);
-        let d = algorithms::ds_mean(&ds, Some(2));
-        let e = algorithms::hashrf_mean(&ds, usize::MAX);
+        let a = mean(run_bfhrf(&ds, None));
+        let b = mean(run_bfhrf(&ds, Some(2)));
+        let c = mean(run_ds(&ds, None));
+        let d = mean(run_ds(&ds, Some(2)));
+        let e = mean(run_hashrf(&ds, usize::MAX));
         assert!((a - b).abs() < 1e-9);
         assert!((a - c).abs() < 1e-9, "bfhrf {a} vs ds {c}");
         assert!((a - d).abs() < 1e-9);
@@ -787,9 +869,10 @@ mod tests {
 
     #[test]
     fn day_pairs_runs() {
-        let ds = tiny();
-        let total = algorithms::day_pairs(&ds, 5);
+        let coll = TreeCollection::parse(&tiny().newick).unwrap();
+        let total = day_pairs(&coll);
         // 10-leaf random coalescent trees: some pairs must differ
         assert!(total > 0);
+        assert_eq!(total, set_pairs(&coll));
     }
 }

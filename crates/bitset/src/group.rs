@@ -20,17 +20,13 @@
 //!   borrow, so candidate and empty masks are bit-identical to the vector
 //!   engines' (property-tested below).
 //!
-//! Engine choice is made once per process by [`Engine::auto`]: the
-//! environment variable `BFHRF_FORCE_SCALAR=1` forces the scalar fallback
-//! (CI runs the whole workspace this way so the portable path cannot rot),
-//! `BFHRF_FORCE_SIMD=1` forces the vector path, and otherwise runtime
-//! feature detection picks the best available. Callers that need a specific
-//! engine regardless of the process default (benchmark ablations, the
-//! scalar-vs-SIMD property tests) pass a [`ProbeMode`] instead.
+//! The engine is chosen at compile time: [`Scan`] names the one this
+//! target probes with. SSE2 is baseline on x86-64 and NEON on aarch64, so
+//! no runtime detection is needed; every other target probes with
+//! [`ScalarScan`], which also stays the reference the tests race [`Scan`]
+//! against.
 //!
 //! [`ctrl_h2`]: crate::ctrl_h2
-
-use std::sync::OnceLock;
 
 /// Slots per control-byte group: one 128-bit vector compare's worth.
 pub const GROUP_SLOTS: usize = 16;
@@ -45,9 +41,6 @@ pub const CTRL_EMPTY: u8 = 0x80;
 /// `group` must hold at least [`GROUP_SLOTS`] bytes; both scans examine
 /// exactly the first 16 and return a bitmask with bit `j` set for slot `j`.
 pub trait GroupScan {
-    /// Engine name for diagnostics and bench annotation.
-    const NAME: &'static str;
-
     /// Bitmask of slots whose control byte equals `byte`.
     fn match_byte(group: &[u8], byte: u8) -> u32;
 
@@ -84,8 +77,6 @@ fn load_halves(group: &[u8]) -> (u64, u64) {
 }
 
 impl GroupScan for ScalarScan {
-    const NAME: &'static str = "scalar";
-
     #[inline(always)]
     fn match_byte(group: &[u8], byte: u8) -> u32 {
         let (lo, hi) = load_halves(group);
@@ -106,8 +97,6 @@ pub struct Sse2Scan;
 
 #[cfg(all(target_arch = "x86_64", target_feature = "sse2"))]
 impl GroupScan for Sse2Scan {
-    const NAME: &'static str = "sse2";
-
     #[inline(always)]
     fn match_byte(group: &[u8], byte: u8) -> u32 {
         use std::arch::x86_64::*;
@@ -154,8 +143,6 @@ fn neon_movemask(v: std::arch::aarch64::uint8x16_t) -> u32 {
 
 #[cfg(target_arch = "aarch64")]
 impl GroupScan for NeonScan {
-    const NAME: &'static str = "neon";
-
     #[inline(always)]
     fn match_byte(group: &[u8], byte: u8) -> u32 {
         use std::arch::aarch64::*;
@@ -179,103 +166,17 @@ impl GroupScan for NeonScan {
     }
 }
 
-/// The best vector engine this build knows for the target architecture;
-/// aliases [`ScalarScan`] where none exists, so dispatch sites stay
-/// `cfg`-free.
+/// The probe engine for this target: the vector engine where the
+/// architecture guarantees one, [`ScalarScan`] elsewhere.
 #[cfg(all(target_arch = "x86_64", target_feature = "sse2"))]
-pub type SimdScan = Sse2Scan;
+pub type Scan = Sse2Scan;
 #[cfg(target_arch = "aarch64")]
-pub type SimdScan = NeonScan;
+pub type Scan = NeonScan;
 #[cfg(not(any(
     all(target_arch = "x86_64", target_feature = "sse2"),
     target_arch = "aarch64"
 )))]
-pub type SimdScan = ScalarScan;
-
-/// Whether [`SimdScan`] is a real vector engine on this host (compiled in
-/// *and* confirmed by runtime feature detection).
-#[inline]
-pub fn simd_available() -> bool {
-    #[cfg(all(target_arch = "x86_64", target_feature = "sse2"))]
-    {
-        std::arch::is_x86_feature_detected!("sse2")
-    }
-    #[cfg(target_arch = "aarch64")]
-    {
-        true // NEON is architecturally baseline on aarch64
-    }
-    #[cfg(not(any(
-        all(target_arch = "x86_64", target_feature = "sse2"),
-        target_arch = "aarch64"
-    )))]
-    {
-        false
-    }
-}
-
-/// The probe engine resolved for this process.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Engine {
-    /// Portable SWAR scan.
-    Scalar,
-    /// Vector scan ([`SimdScan`]).
-    Simd,
-}
-
-impl Engine {
-    /// The process-wide engine, resolved once: `BFHRF_FORCE_SCALAR=1`
-    /// forces [`Engine::Scalar`], `BFHRF_FORCE_SIMD=1` forces
-    /// [`Engine::Simd`], otherwise runtime detection picks Simd when
-    /// [`simd_available`].
-    pub fn auto() -> Engine {
-        static ENGINE: OnceLock<Engine> = OnceLock::new();
-        *ENGINE.get_or_init(Engine::detect)
-    }
-
-    fn detect() -> Engine {
-        let flag = |name: &str| std::env::var(name).is_ok_and(|v| v == "1" || v == "true");
-        if flag("BFHRF_FORCE_SCALAR") {
-            Engine::Scalar
-        } else if flag("BFHRF_FORCE_SIMD") || simd_available() {
-            Engine::Simd
-        } else {
-            Engine::Scalar
-        }
-    }
-
-    /// The scan-engine name this engine resolves to ("sse2", "neon", or
-    /// "scalar").
-    pub fn name(self) -> &'static str {
-        match self {
-            Engine::Scalar => ScalarScan::NAME,
-            Engine::Simd => SimdScan::NAME,
-        }
-    }
-}
-
-/// Caller-selected probe path for benchmark ablations and property tests.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ProbeMode {
-    /// Use the process-wide [`Engine::auto`] choice.
-    Auto,
-    /// Force the portable scalar scan.
-    Scalar,
-    /// Force the vector scan (falls back to scalar code via the
-    /// [`SimdScan`] alias on targets without one).
-    Simd,
-}
-
-impl ProbeMode {
-    /// Resolve to a concrete engine.
-    #[inline]
-    pub fn engine(self) -> Engine {
-        match self {
-            ProbeMode::Auto => Engine::auto(),
-            ProbeMode::Scalar => Engine::Scalar,
-            ProbeMode::Simd => Engine::Simd,
-        }
-    }
-}
+pub type Scan = ScalarScan;
 
 #[cfg(test)]
 mod tests {
@@ -313,6 +214,11 @@ mod tests {
                     reference_match(&g, probe),
                     "seed {seed} probe {probe:#x} group {g:x?}"
                 );
+                assert_eq!(
+                    Scan::match_byte(&g, probe),
+                    reference_match(&g, probe),
+                    "seed {seed} probe {probe:#x} group {g:x?}"
+                );
             }
             assert_eq!(
                 ScalarScan::match_empty(&g),
@@ -342,13 +248,13 @@ mod tests {
             for probe in [0u8, 0x3c, 0x7f, g[3] & 0x7f] {
                 assert_eq!(
                     ScalarScan::match_byte(&g, probe),
-                    SimdScan::match_byte(&g, probe),
+                    Scan::match_byte(&g, probe),
                     "seed {seed} probe {probe:#x}"
                 );
             }
             assert_eq!(
                 ScalarScan::match_empty(&g),
-                SimdScan::match_empty(&g),
+                Scan::match_empty(&g),
                 "seed {seed}"
             );
         }
@@ -359,23 +265,10 @@ mod tests {
         let g = [CTRL_EMPTY; GROUP_SLOTS];
         assert_eq!(ScalarScan::match_empty(&g), 0xffff);
         assert_eq!(ScalarScan::match_byte(&g, CTRL_EMPTY), 0xffff);
-        assert_eq!(SimdScan::match_empty(&g), 0xffff);
+        assert_eq!(Scan::match_empty(&g), 0xffff);
         let g = [0x11u8; GROUP_SLOTS];
         assert_eq!(ScalarScan::match_empty(&g), 0);
         assert_eq!(ScalarScan::match_byte(&g, 0x11), 0xffff);
         assert_eq!(ScalarScan::match_byte(&g, 0x12), 0);
-    }
-
-    #[test]
-    fn engine_resolution_is_consistent() {
-        let auto = Engine::auto();
-        assert_eq!(auto, Engine::auto(), "must be cached");
-        assert!(matches!(auto.name(), "scalar" | "sse2" | "neon"));
-        assert_eq!(ProbeMode::Scalar.engine(), Engine::Scalar);
-        assert_eq!(ProbeMode::Simd.engine(), Engine::Simd);
-        assert_eq!(ProbeMode::Auto.engine(), auto);
-        if !simd_available() {
-            assert_eq!(Engine::Simd.name(), "scalar", "alias must fall back");
-        }
     }
 }

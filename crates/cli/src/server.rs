@@ -60,12 +60,12 @@
 //!
 //! Shutdown does not poll and does not need the old
 //! one-connection-per-worker unpark hack: the shutdown path half-closes
-//! every registered connection (blocked readers wake with EOF), notifies
-//! the slot condvar, and makes a single wake connection to unpark the
-//! acceptor. The drain is graceful: a half-closed reader first exhausts
-//! the complete frames already buffered in its `BufReader`, so a
-//! pipelined client gets an answer for every frame the server had
-//! received before the half-close, then a clean EOF.
+//! every registered connection (blocked readers wake with EOF) and makes
+//! a single wake connection to unpark the acceptor. The drain is
+//! graceful: a half-closed reader first exhausts the complete frames
+//! already buffered in its `BufReader`, so a pipelined client gets an
+//! answer for every frame the server had received before the
+//! half-close, then a clean EOF.
 //!
 //! A poisoned lock (a handler thread panicked while holding it) is
 //! recovered, not propagated: the guarded structures stay consistent
@@ -91,7 +91,7 @@ use std::io::{BufRead, BufReader, BufWriter, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError, RwLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError, RwLock};
 use std::time::{Duration, Instant};
 
 /// Longest accepted request line (bytes) — bounds what a hostile client
@@ -226,16 +226,6 @@ impl ServeMetrics {
     }
 }
 
-/// Connection-slot bookkeeping. The acceptor claims a slot per accepted
-/// socket and sheds the connection with a typed `busy` frame when none is
-/// free; handlers return their slot (and notify) on exit. The condvar
-/// remains for anything parked on slot availability (tests, future
-/// waiters) and is notified by the shutdown path.
-struct ConnSlots {
-    free: Mutex<usize>,
-    freed: Condvar,
-}
-
 struct ServeState {
     snap: RwLock<Arc<SnapView>>,
     admin: Mutex<Index>,
@@ -254,7 +244,11 @@ struct ServeState {
     next_conn: AtomicU64,
     /// Monotone snapshot-publication counter (`snap` in score responses).
     snap_seq: AtomicU64,
-    slots: ConnSlots,
+    /// Free connection slots. The acceptor claims one per accepted socket
+    /// and sheds the connection with a typed `busy` frame when none is
+    /// free; handlers return their slot on exit. Nothing ever waits on
+    /// the count, so it is a plain mutex.
+    free_slots: Mutex<usize>,
     /// Configured slot ceiling (`--threads`), reported in `busy` frames.
     max_conns: usize,
     /// The multi-collection catalog, when the daemon was started with
@@ -335,16 +329,12 @@ fn interrupt_connections(state: &ServeState) {
 }
 
 /// Flip the shutdown flag and wake everything that might be parked: blocked
-/// connection readers (half-close → EOF), the acceptor waiting on a free
-/// slot (condvar), and the acceptor parked in `accept` (one wake
-/// connection — the single replacement for the old 64-connection hack).
+/// connection readers (half-close → EOF) and the acceptor parked in
+/// `accept` (one wake connection — the single replacement for the old
+/// 64-connection hack).
 fn begin_shutdown(state: &ServeState, addr: SocketAddr) {
     state.shutdown.store(true, Ordering::SeqCst);
     interrupt_connections(state);
-    // Lock-then-notify so the acceptor cannot check the flag and park
-    // between our store and our notify.
-    drop(state.slots.free.lock());
-    state.slots.freed.notify_all();
     drop(TcpStream::connect_timeout(
         &addr,
         Duration::from_millis(200),
@@ -444,10 +434,7 @@ impl Server {
                 conns: Mutex::new(HashMap::new()),
                 next_conn: AtomicU64::new(0),
                 snap_seq: AtomicU64::new(0),
-                slots: ConnSlots {
-                    free: Mutex::new(cfg.threads.max(1)),
-                    freed: Condvar::new(),
-                },
+                free_slots: Mutex::new(cfg.threads.max(1)),
                 max_conns: cfg.threads.max(1),
                 catalog: catalog.map(Mutex::new),
                 catalog_size: AtomicU64::new(catalog_size),
@@ -518,7 +505,7 @@ impl Server {
 /// Claim a connection slot without blocking. `false` means every slot is
 /// taken and the caller should shed the connection.
 fn try_take_slot(state: &ServeState) -> bool {
-    let mut free = recover_lock(state, state.slots.free.lock());
+    let mut free = recover_lock(state, state.free_slots.lock());
     if *free == 0 {
         return false;
     }
@@ -527,10 +514,7 @@ fn try_take_slot(state: &ServeState) -> bool {
 }
 
 fn release_slot(state: &ServeState) {
-    let mut free = recover_lock(state, state.slots.free.lock());
-    *free += 1;
-    drop(free);
-    state.slots.freed.notify_one();
+    *recover_lock(state, state.free_slots.lock()) += 1;
 }
 
 /// Refuse a connection at the slot ceiling: answer one typed `busy` frame

@@ -37,10 +37,9 @@
 //! misses that dominate on collection-scale tables (hundreds of thousands
 //! of distinct splits).
 //!
-//! The scan engine is resolved once per process ([`Engine::auto`]):
-//! `BFHRF_FORCE_SCALAR=1` pins the portable fallback (CI runs the whole
-//! workspace that way), and benchmark ablations pass an explicit
-//! [`ProbeMode`] to race both engines over identical batches.
+//! The scan engine is fixed at compile time ([`Scan`]). The probe loops
+//! stay generic over [`GroupScan`] so the unit tests can race the portable
+//! SWAR fallback against [`Scan`] on every host.
 //!
 //! The table is immutable by construction — freezing a mutated hash means
 //! freezing again — and the freeze itself is a single `O(distinct)` pass
@@ -48,12 +47,10 @@
 
 use crate::bfh::Bfh;
 use phylo::{BipartitionScratch, SplitBatch, TaxonSet, Tree};
-use phylo_bitset::group::{Engine, GroupScan, ScalarScan, SimdScan, CTRL_EMPTY, GROUP_SLOTS};
+use phylo_bitset::group::{GroupScan, Scan, CTRL_EMPTY, GROUP_SLOTS};
 use phylo_bitset::{ctrl_h2, hash_bucket, hash_tag, split_hash128, words_for, Bits};
 use std::ops::Deref;
 use std::sync::Arc;
-
-pub use phylo_bitset::group::{simd_available, ProbeMode};
 
 /// Keeps a memory mapping alive for as long as any [`Lane`] points into
 /// it. The index crate's mmap wrapper implements this; dropping the last
@@ -591,10 +588,7 @@ impl FrozenBfh {
     /// known (the batched path computes it during extraction).
     #[inline]
     pub fn frequency_hashed(&self, h: u128, w: &[u64]) -> u32 {
-        match Engine::auto() {
-            Engine::Simd => self.frequency_hashed_impl::<SimdScan>(h, w),
-            Engine::Scalar => self.frequency_hashed_impl::<ScalarScan>(h, w),
-        }
+        self.frequency_hashed_impl::<Scan>(h, w)
     }
 
     /// Frequency of a canonical mask given as raw words (hash computed
@@ -602,17 +596,6 @@ impl FrozenBfh {
     #[inline]
     pub fn frequency_words(&self, w: &[u64]) -> u32 {
         self.frequency_hashed(split_hash128(w), w)
-    }
-
-    /// [`Self::frequency_words`] through an explicit probe engine — the
-    /// scalar-vs-SIMD equivalence property tests probe both paths through
-    /// this regardless of the process-wide engine.
-    pub fn frequency_words_with(&self, mode: ProbeMode, w: &[u64]) -> u32 {
-        let h = split_hash128(w);
-        match mode.engine() {
-            Engine::Simd => self.frequency_hashed_impl::<SimdScan>(h, w),
-            Engine::Scalar => self.frequency_hashed_impl::<ScalarScan>(h, w),
-        }
     }
 
     /// Frequency of a canonical split (0 if absent).
@@ -636,18 +619,7 @@ impl FrozenBfh {
     /// [`PREFETCH_AHEAD`] splits ahead.
     #[inline]
     pub fn frequency_sum_batch(&self, batch: &SplitBatch<'_>) -> u64 {
-        self.frequency_sum_batch_with(ProbeMode::Auto, batch)
-    }
-
-    /// [`Self::frequency_sum_batch`] through an explicit probe engine.
-    /// `query_bench` races [`ProbeMode::Scalar`] against
-    /// [`ProbeMode::Simd`] over identical batches and asserts the sums
-    /// bit-identical before reporting either timing.
-    pub fn frequency_sum_batch_with(&self, mode: ProbeMode, batch: &SplitBatch<'_>) -> u64 {
-        match mode.engine() {
-            Engine::Simd => self.sum_batch_impl::<SimdScan>(batch),
-            Engine::Scalar => self.sum_batch_impl::<ScalarScan>(batch),
-        }
+        self.sum_batch_impl::<Scan>(batch)
     }
 
     fn sum_batch_impl<G: GroupScan>(&self, batch: &SplitBatch<'_>) -> u64 {
@@ -736,7 +708,9 @@ impl crate::SplitFrequency for FrozenBfh {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::SplitFrequency;
     use phylo::TreeCollection;
+    use phylo_bitset::group::ScalarScan;
 
     fn build(text: &str) -> (TreeCollection, Bfh, FrozenBfh) {
         let coll = TreeCollection::parse(text).unwrap();
@@ -759,25 +733,66 @@ mod tests {
         }
     }
 
+    /// Race the portable SWAR scan against the compiled-in [`Scan`] over
+    /// one table: both must return the live count on every stored split,
+    /// and the live sum on every query batch (stored and absent splits
+    /// mixed). On hosts where [`Scan`] is the scalar engine this still
+    /// pins both loops to the live map.
+    fn assert_engines_agree(bfh: &Bfh, frozen: &FrozenBfh, queries: &[Tree], taxa: &TaxonSet) {
+        for (bits, count) in bfh.iter() {
+            let w = bits.words();
+            let h = split_hash128(w);
+            assert_eq!(frozen.frequency_hashed_impl::<ScalarScan>(h, w), count);
+            assert_eq!(frozen.frequency_hashed_impl::<Scan>(h, w), count);
+        }
+        let mut scratch = BipartitionScratch::new();
+        for q in queries {
+            let batch = scratch.batch_splits(q, taxa);
+            let live: u64 = (0..batch.len())
+                .map(|i| u64::from(bfh.split_frequency_words(taxa.len(), batch.mask(i))))
+                .sum();
+            assert_eq!(frozen.sum_batch_impl::<ScalarScan>(&batch), live);
+            assert_eq!(frozen.sum_batch_impl::<Scan>(&batch), live);
+        }
+    }
+
     #[test]
     fn scalar_and_simd_probes_agree_on_hits_and_misses() {
         let (coll, bfh, frozen) =
             build("((A,B),((C,D),(E,F)));\n(((A,C),B),(D,(E,F)));\n((A,F),((C,D),(E,B)));");
-        for (bits, count) in bfh.iter() {
-            assert_eq!(
-                frozen.frequency_words_with(ProbeMode::Scalar, bits.words()),
-                count
-            );
-            assert_eq!(
-                frozen.frequency_words_with(ProbeMode::Simd, bits.words()),
-                count
-            );
-        }
+        assert_engines_agree(&bfh, &frozen, &coll.trees, &coll.taxa);
         let absent = Bits::from_indices(coll.taxa.len(), [0, 3]);
+        let h = split_hash128(absent.words());
         assert_eq!(
-            frozen.frequency_words_with(ProbeMode::Scalar, absent.words()),
-            frozen.frequency_words_with(ProbeMode::Simd, absent.words()),
+            frozen.frequency_hashed_impl::<ScalarScan>(h, absent.words()),
+            frozen.frequency_hashed_impl::<Scan>(h, absent.words()),
         );
+    }
+
+    #[test]
+    fn scan_engines_agree_at_word_seams_min_capacity_and_after_removal() {
+        // n on both sides of every word seam the pool stride and the
+        // tag-is-key fast path care about. `r = 2` keeps tables at minimum
+        // capacity (one control group); removing trees first freezes a
+        // hash that has pruned zero-frequency entries. Queries come from a
+        // second collection over the same namespace, so batches mix
+        // stored and absent splits.
+        for n in [15usize, 16, 17, 63, 64, 65, 127, 128, 129] {
+            for removals in 0..3usize {
+                let spec = phylo_sim::DatasetSpec::new("seams", n, 2 + removals, n as u64);
+                let refs = phylo_sim::generate(&spec);
+                let mut bfh = Bfh::build(&refs.trees, &refs.taxa);
+                for t in refs.trees.iter().take(removals) {
+                    bfh.remove_tree(t, &refs.taxa).unwrap();
+                }
+                let frozen = bfh.freeze();
+                assert!(frozen.capacity() >= 2 * frozen.distinct(), "n={n}");
+                // Both generators number taxa `t0..t{n-1}` identically.
+                let mut trees = phylo_sim::perturb::random_collection(n, 3, n as u64).trees;
+                trees.extend_from_slice(&refs.trees);
+                assert_engines_agree(&bfh, &frozen, &trees, &refs.taxa);
+            }
+        }
     }
 
     #[test]
@@ -824,7 +839,7 @@ mod tests {
         // n_taxa ∈ {63, 64, 65, 128}: the one-word fast path, its exact
         // upper edge, the first two-word width, and an exact two-word
         // width. Frozen must equal live on every simulated tree, on both
-        // probe engines.
+        // scan engines.
         for n in [63usize, 64, 65, 128] {
             let spec = phylo_sim::DatasetSpec::new("widths", n, 12, n as u64);
             let coll = phylo_sim::generate(&spec);
@@ -833,14 +848,8 @@ mod tests {
             let mut scratch = BipartitionScratch::new();
             for (bits, count) in bfh.iter() {
                 assert_eq!(frozen.frequency(bits), count, "n={n} {bits}");
-                for mode in [ProbeMode::Scalar, ProbeMode::Simd] {
-                    assert_eq!(
-                        frozen.frequency_words_with(mode, bits.words()),
-                        count,
-                        "n={n} mode={mode:?}"
-                    );
-                }
             }
+            assert_engines_agree(&bfh, &frozen, &coll.trees, &coll.taxa);
             for q in &coll.trees {
                 assert_eq!(
                     crate::bfhrf_average(q, &coll.taxa, &bfh),

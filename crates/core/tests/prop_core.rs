@@ -10,12 +10,20 @@
 use bfhrf::matrix::rf_matrix_exact;
 use bfhrf::{
     bfhrf_all, day_rf, sequential_rf, Bfh, BfhBuilder, BfhrfComparator, Comparator, DayComparator,
-    FrozenComparator, HashRf, HashRfConfig, ProbeMode, SetComparator,
+    FrozenComparator, HashRf, HashRfConfig, SetComparator, SplitFrequency,
 };
 use phylo::{BipartitionScratch, TreeCollection};
 use phylo_sim::datasets::DatasetSpec;
 use phylo_sim::perturb::random_collection;
 use proptest::prelude::*;
+
+/// Σ of the live map's counts over a query batch: the reference the
+/// frozen batch probe must equal.
+fn live_sum(bfh: &Bfh, n: usize, batch: &phylo::SplitBatch<'_>) -> u64 {
+    (0..batch.len())
+        .map(|i| u64::from(bfh.split_frequency_words(n, batch.mask(i))))
+        .sum()
+}
 
 /// Random collections: either coalescent (correlated splits) or uniform
 /// (near-disjoint splits) — the two regimes stress the hash differently.
@@ -500,39 +508,33 @@ proptest! {
     }
 
     #[test]
-    fn scalar_and_simd_probe_paths_agree_on_arbitrary_collections(
+    fn frozen_probes_equal_live_counts_on_arbitrary_collections(
         n in 5usize..24,
         r in 2usize..12,
         q in 1usize..5,
         seed in any::<u64>(),
         coalescent in any::<bool>(),
     ) {
-        // The SIMD group scan and the portable SWAR fallback are two
-        // implementations of one probe contract: identical answers, bit
-        // for bit, on every stored split, every absent probe, and every
-        // whole-batch sum — whatever engine the process default resolved
-        // to.
+        // The public probe entry points answer exactly what the live map
+        // holds: the stored count for every split, and for a whole query
+        // batch (stored and absent splits mixed) the sum of the live
+        // counts.
         let refs = collection(n, r, seed, coalescent);
         let queries = collection(n, q, seed ^ 33, !coalescent);
         let bfh = Bfh::build(&refs.trees, &refs.taxa);
         let frozen = bfh.freeze();
         for (bits, count) in bfh.iter() {
-            prop_assert_eq!(frozen.frequency_words_with(ProbeMode::Scalar, bits.words()), count);
-            prop_assert_eq!(frozen.frequency_words_with(ProbeMode::Simd, bits.words()), count);
+            prop_assert_eq!(frozen.frequency_words(bits.words()), count);
         }
         let mut scratch = BipartitionScratch::new();
         for qt in &queries.trees {
             let batch = scratch.batch_splits(qt, &refs.taxa);
-            // absent-and-present mix: query splits need not be stored
-            prop_assert_eq!(
-                frozen.frequency_sum_batch_with(ProbeMode::Scalar, &batch),
-                frozen.frequency_sum_batch_with(ProbeMode::Simd, &batch)
-            );
+            prop_assert_eq!(frozen.frequency_sum_batch(&batch), live_sum(&bfh, n, &batch));
         }
     }
 
     #[test]
-    fn probe_engines_agree_at_word_boundary_widths_and_min_capacity(
+    fn frozen_probes_equal_live_counts_at_word_seams_and_min_capacity(
         wi in 0usize..9,
         seed in any::<u64>(),
         removals in 0usize..3,
@@ -553,23 +555,14 @@ proptest! {
         let frozen = bfh.freeze();
         prop_assert!(frozen.capacity() >= 2 * frozen.distinct());
         for (bits, count) in bfh.iter() {
-            prop_assert_eq!(
-                frozen.frequency_words_with(ProbeMode::Scalar, bits.words()),
-                count,
-                "scalar width {}", n
-            );
-            prop_assert_eq!(
-                frozen.frequency_words_with(ProbeMode::Simd, bits.words()),
-                count,
-                "simd width {}", n
-            );
+            prop_assert_eq!(frozen.frequency_words(bits.words()), count, "width {}", n);
         }
         let mut scratch = BipartitionScratch::new();
         for qt in &refs.trees {
             let batch = scratch.batch_splits(qt, &refs.taxa);
             prop_assert_eq!(
-                frozen.frequency_sum_batch_with(ProbeMode::Scalar, &batch),
-                frozen.frequency_sum_batch_with(ProbeMode::Simd, &batch),
+                frozen.frequency_sum_batch(&batch),
+                live_sum(&bfh, n, &batch),
                 "width {}", n
             );
         }
