@@ -4,7 +4,8 @@
 # reduced `index_bench`, then validate that the emitted JSON carries the
 # full measurement schema — dataset provenance, warmup/repeats protocol,
 # single- and multi-thread sections with median/CV/speedup, the wire
-# ablation cell (Newick parse vs phylo-wire binary decode), the serve
+# ablation cell (Newick parse vs phylo-wire binary decode, plus the
+# served fused Newick and binary passes straight to splits), the serve
 # section, and the frozen-sidecar open cells (zero-copy mmap open vs
 # read-and-materialize).
 #
@@ -55,7 +56,9 @@ need(wi, "trees", int, "wire")
 need(wi, "newick_bytes", int, "wire")
 need(wi, "bin_bytes", int, "wire")
 for key in ("parse_seconds", "parse_cv", "parse_us_per_tree",
-            "decode_seconds", "decode_cv", "decode_us_per_tree", "speedup"):
+            "decode_seconds", "decode_cv", "decode_us_per_tree", "speedup",
+            "fused_newick_us_per_tree", "fused_newick_cv",
+            "fused_bin_us_per_tree", "fused_bin_cv"):
     need(wi, key, (int, float), "wire")
 if wi["bin_bytes"] >= wi["newick_bytes"]:
     sys.exit(f"bench smoke: binary payload ({wi['bin_bytes']} B) not smaller "
@@ -98,7 +101,9 @@ if st["speedup"] <= 0 or st["live_mprobes_per_s"] <= 0 \
         or st["frozen_mprobes_per_s"] <= 0:
     sys.exit("bench smoke: degenerate single-thread timings")
 if wi["speedup"] <= 0 or wi["parse_us_per_tree"] <= 0 \
-        or wi["decode_us_per_tree"] <= 0:
+        or wi["decode_us_per_tree"] <= 0 \
+        or wi["fused_newick_us_per_tree"] <= 0 \
+        or wi["fused_bin_us_per_tree"] <= 0:
     sys.exit("bench smoke: degenerate wire ablation timings")
 if srv["qps"] <= 0 or srv["pipelined_qps"] <= 0 or srv["batch_qps"] <= 0:
     sys.exit("bench smoke: serve section measured nothing")

@@ -15,12 +15,14 @@
 //!    (`FrozenBfh::frequency_sum_batch`). Target: ≥ 1.5× (measured
 //!    ~2×). Reported as median seconds with CV and probes/second.
 //! 2. **Wire ablation**: rebuilding a `Tree` per wire item by Newick
-//!    parse vs phylo-wire binary decode (`decode_tree_exact`), splits
-//!    asserted bitwise identical (masks and hashes) before timing. Rounds
-//!    alternate parse/decode so a noisy neighbour taxes both sides
-//!    equally, and each side keeps its best round, the same protocol the
-//!    obs section uses. Target: decode ≥ 5× faster per tree. The cell
-//!    also records the payload sizes of both encodings.
+//!    parse vs phylo-wire binary decode (`decode_tree_exact`), next to
+//!    the served path's fused passes that go straight to splits
+//!    (`batch_newick`, `decode_splits_exact`). Every row's splits are
+//!    asserted bitwise identical (masks and hashes) to the parsed tree's
+//!    before timing. Rounds run the rows in turn so a noisy neighbour
+//!    taxes all of them equally, and each row keeps its best round, the
+//!    same protocol the obs section uses. The cell also records the
+//!    payload sizes of both encodings.
 //! 3. **End-to-end**: full single-thread query scoring — extraction +
 //!    hashing + probing + Algorithm 2 — live (`bfhrf_average_scratch`
 //!    over `Bfh`) vs frozen (`FrozenBfh::average_scratch`). Extraction
@@ -187,12 +189,12 @@ fn main() {
         frozen_probe.cv
     );
 
-    // -------- wire ablation: Newick parse vs binary record decode -------
-    // The serve payload path rebuilds a `Tree` per wire item either by
-    // parsing Newick text or by decoding a phylo-wire record. Both
-    // reconstructions must yield bitwise-identical splits (masks *and*
-    // hashes) before either is timed, so the decode speedup can never
-    // hide a topology change.
+    // -------- wire ablation: Newick vs binary, via a tree or fused -------
+    // A wire item becomes splits either through a `Tree` (Newick parse or
+    // record decode, then a tree walk) or in one fused pass, the way the
+    // daemon serves it. Every route must yield bitwise-identical splits
+    // (masks *and* hashes) before any is timed, so no speedup can hide a
+    // topology change.
     eprintln!("[query_bench] wire ablation: newick parse vs binary decode ...");
     let wire_newicks: Vec<String> = q
         .iter()
@@ -204,72 +206,98 @@ fn main() {
         .collect();
     let wire_newick_bytes: usize = wire_newicks.iter().map(String::len).sum();
     let wire_bin_bytes: usize = wire_records.iter().map(Vec::len).sum();
+    let n_taxa = coll.taxa.len();
+    let rows = |batch: phylo::SplitBatch<'_>| -> (Vec<u64>, Vec<u128>) {
+        let masks = (0..batch.len())
+            .flat_map(|i| batch.mask(i).iter().copied())
+            .collect();
+        (masks, batch.hashes().to_vec())
+    };
     {
-        let mut sp = BipartitionScratch::new();
-        let mut sd = BipartitionScratch::new();
+        let (mut st, mut sf) = (BipartitionScratch::new(), BipartitionScratch::new());
         for (newick, record) in wire_newicks.iter().zip(&wire_records) {
             let parsed = phylo::parse_newick_readonly(newick, &coll.taxa).expect("query parses");
-            let decoded =
-                phylo_wire::decode_tree_exact(record, coll.taxa.len()).expect("record decodes");
-            let bp = sp.batch_splits(&parsed, &coll.taxa);
-            let pm: Vec<u64> = (0..bp.len())
-                .flat_map(|i| bp.mask(i).iter().copied())
-                .collect();
-            let ph = bp.hashes().to_vec();
-            let bd = sd.batch_splits(&decoded, &coll.taxa);
-            let dm: Vec<u64> = (0..bd.len())
-                .flat_map(|i| bd.mask(i).iter().copied())
-                .collect();
-            assert_eq!(pm, dm, "decoded splits diverged from parsed splits");
-            assert_eq!(ph, bd.hashes(), "decoded split hashes diverged");
+            let decoded = phylo_wire::decode_tree_exact(record, n_taxa).expect("record decodes");
+            let want = rows(st.batch_splits(&parsed, &coll.taxa));
+            assert_eq!(
+                rows(st.batch_splits(&decoded, &coll.taxa)),
+                want,
+                "decoded splits diverged from parsed splits"
+            );
+            let fused = sf.batch_newick(newick, &coll.taxa).expect("query streams");
+            assert_eq!(rows(fused), want, "fused Newick splits diverged");
+            let fused =
+                phylo_wire::decode_splits_exact(record, n_taxa, &mut sf).expect("record streams");
+            assert_eq!(rows(fused), want, "fused binary splits diverged");
         }
     }
-    // Interleaved best-of-N: rounds alternate parse/decode and each side is
-    // scored by its best round — additive noise only ever inflates a
-    // round, so the minimum is the closest estimate of the true cost.
-    let wire_round = |decode: bool| {
+    // Interleaved best-of-N: every round runs each row once, in turn, and
+    // each row is scored by its best round — additive noise only ever
+    // inflates a round, so the minimum is the closest estimate of the true
+    // cost. Rows: Newick → `Tree`, record → `Tree`, and the served fused
+    // passes, Newick → splits and record → splits.
+    let mut fused = BipartitionScratch::new();
+    let mut wire_round = |row: usize| {
         let t = Instant::now();
         let mut acc = 0usize;
-        if decode {
-            for record in &wire_records {
-                acc += phylo_wire::decode_tree_exact(record, coll.taxa.len())
-                    .expect("record decodes")
-                    .num_nodes();
+        match row {
+            0 => {
+                for newick in &wire_newicks {
+                    acc += phylo::parse_newick_readonly(newick, &coll.taxa)
+                        .expect("query parses")
+                        .num_nodes();
+                }
             }
-        } else {
-            for newick in &wire_newicks {
-                acc += phylo::parse_newick_readonly(newick, &coll.taxa)
-                    .expect("query parses")
-                    .num_nodes();
+            1 => {
+                for record in &wire_records {
+                    acc += phylo_wire::decode_tree_exact(record, n_taxa)
+                        .expect("record decodes")
+                        .num_nodes();
+                }
+            }
+            2 => {
+                for newick in &wire_newicks {
+                    acc += fused
+                        .batch_newick(newick, &coll.taxa)
+                        .expect("query streams")
+                        .len();
+                }
+            }
+            _ => {
+                for record in &wire_records {
+                    acc += phylo_wire::decode_splits_exact(record, n_taxa, &mut fused)
+                        .expect("record streams")
+                        .len();
+                }
             }
         }
         std::hint::black_box(acc);
         t.elapsed().as_secs_f64()
     };
     let ablation_rounds = repeats.max(5) * 2;
-    let (wire_parse, wire_decode) = {
-        wire_round(false); // warmup
-        wire_round(true);
-        let mut parse_times = Vec::with_capacity(ablation_rounds);
-        let mut decode_times = Vec::with_capacity(ablation_rounds);
+    let [wire_parse, wire_decode, fused_newick, fused_bin] = {
+        let mut times: [Vec<f64>; 4] = Default::default();
+        for row in 0..4 {
+            wire_round(row); // warmup
+        }
         for _ in 0..ablation_rounds {
-            parse_times.push(wire_round(false));
-            decode_times.push(wire_round(true));
+            for (row, ts) in times.iter_mut().enumerate() {
+                ts.push(wire_round(row));
+            }
         }
         let best = |ts: &[f64]| ts.iter().copied().fold(f64::INFINITY, f64::min);
-        let cv = bfhrf_bench::stats::coeff_of_variation;
-        (
-            (best(&parse_times), cv(&parse_times)),
-            (best(&decode_times), cv(&decode_times)),
-        )
+        times.map(|ts| (best(&ts), bfhrf_bench::stats::coeff_of_variation(&ts)))
     };
+    let us_per_tree = |seconds: f64| seconds * 1e6 / q.len() as f64;
     let wire_speedup = wire_parse.0 / wire_decode.0;
     eprintln!(
-        "[query_bench] wire ablation: parse {:.1} us/tree (cv {:.3}), decode {:.1} us/tree (cv {:.3}) → {wire_speedup:.2}x ({wire_bin_bytes} B bin vs {wire_newick_bytes} B newick)",
-        wire_parse.0 * 1e6 / q.len() as f64,
+        "[query_bench] wire ablation: parse {:.1} us/tree (cv {:.3}), decode {:.1} us/tree (cv {:.3}) → {wire_speedup:.2}x ({wire_bin_bytes} B bin vs {wire_newick_bytes} B newick); fused newick {:.1}, fused bin {:.1} us/tree",
+        us_per_tree(wire_parse.0),
         wire_parse.1,
-        wire_decode.0 * 1e6 / q.len() as f64,
-        wire_decode.1
+        us_per_tree(wire_decode.0),
+        wire_decode.1,
+        us_per_tree(fused_newick.0),
+        us_per_tree(fused_bin.0),
     );
 
     // -------- end-to-end single-thread query scoring -------------------
@@ -625,17 +653,18 @@ fn main() {
                 ("bin_bytes", wire_bin_bytes.into()),
                 ("parse_seconds", wire_parse.0.into()),
                 ("parse_cv", wire_parse.1.into()),
-                (
-                    "parse_us_per_tree",
-                    (wire_parse.0 * 1e6 / q.len() as f64).into(),
-                ),
+                ("parse_us_per_tree", us_per_tree(wire_parse.0).into()),
                 ("decode_seconds", wire_decode.0.into()),
                 ("decode_cv", wire_decode.1.into()),
-                (
-                    "decode_us_per_tree",
-                    (wire_decode.0 * 1e6 / q.len() as f64).into(),
-                ),
+                ("decode_us_per_tree", us_per_tree(wire_decode.0).into()),
                 ("speedup", wire_speedup.into()),
+                (
+                    "fused_newick_us_per_tree",
+                    us_per_tree(fused_newick.0).into(),
+                ),
+                ("fused_newick_cv", fused_newick.1.into()),
+                ("fused_bin_us_per_tree", us_per_tree(fused_bin.0).into()),
+                ("fused_bin_cv", fused_bin.1.into()),
             ]),
         ),
         (

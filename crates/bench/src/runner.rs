@@ -10,8 +10,9 @@ use crate::datasets::{prefix, prepare, PreparedDataset};
 use crate::measure::{measured, measured_repeats, Measurement, RepeatStats};
 use crate::stats;
 use bfhrf::{bfhrf_average, Bfh, HashRf, HashRfConfig};
-use phylo::newick::NewickStream;
-use phylo::{BipartitionSet, TaxaPolicy, TaxonSet, Tree, TreeCollection};
+use phylo::{
+    BipartitionSet, IngestPolicy, NewickReader, TaxaPolicy, TaxonSet, Tree, TreeCollection,
+};
 use phylo_sim::DatasetSpec;
 use rayon::prelude::*;
 use std::fmt::Write as _;
@@ -65,10 +66,16 @@ fn pool(threads: usize) -> rayon::ThreadPool {
         .expect("thread pool")
 }
 
+/// A fail-fast reader over harness text, whose labels are all in the
+/// namespace already.
+fn strict_reader(text: &str) -> NewickReader<&[u8]> {
+    NewickReader::new(text.as_bytes(), TaxaPolicy::Require, IngestPolicy::Strict)
+}
+
 /// Parse up to `limit` reference bipartition sets (the DS preprocessing
 /// step).
 fn parse_ref_sets(text: &str, taxa: &mut TaxonSet, limit: usize) -> Vec<BipartitionSet> {
-    let mut stream = NewickStream::new(text.as_bytes(), TaxaPolicy::Require);
+    let mut stream = strict_reader(text);
     let mut sets = Vec::new();
     while sets.len() < limit {
         match stream.next_tree(taxa).expect("harness data parses") {
@@ -99,7 +106,7 @@ fn run_ds(ds: &PreparedDataset, threads: Option<usize>) -> Outcome {
     let query_phase = |limit: usize| -> (f64, Measurement) {
         let mut taxa_q = taxa.clone();
         let (total, m) = measured(|| {
-            let mut stream = NewickStream::new(ds.newick.as_bytes(), TaxaPolicy::Require);
+            let mut stream = strict_reader(&ds.newick);
             let mut processed = 0usize;
             let mut total_avg = 0.0f64;
             let mut chunk: Vec<Tree> = Vec::with_capacity(CHUNK);
@@ -187,7 +194,7 @@ fn run_bfhrf(ds: &PreparedDataset, threads: Option<usize>) -> Outcome {
         let (result, m) = measured(|| {
             // Phase 1: build the hash from the reference stream.
             let mut bfh = Bfh::empty(taxa.len());
-            let mut stream = NewickStream::new(ds.newick.as_bytes(), TaxaPolicy::Require);
+            let mut stream = strict_reader(&ds.newick);
             let mut chunk: Vec<Tree> = Vec::with_capacity(CHUNK);
             loop {
                 chunk.clear();
@@ -217,7 +224,7 @@ fn run_bfhrf(ds: &PreparedDataset, threads: Option<usize>) -> Outcome {
                 }
             }
             // Phase 2: stream queries against the hash.
-            let mut stream = NewickStream::new(ds.newick.as_bytes(), TaxaPolicy::Require);
+            let mut stream = strict_reader(&ds.newick);
             let mut total_avg = 0.0f64;
             let mut q_count = 0usize;
             loop {
@@ -272,7 +279,7 @@ fn run_hashrf(ds: &PreparedDataset, mem_budget: usize) -> Outcome {
     }
     let mut taxa = numbered_taxa(ds.n_taxa);
     let (out, m) = measured(|| {
-        let mut stream = NewickStream::new(ds.newick.as_bytes(), TaxaPolicy::Require);
+        let mut stream = strict_reader(&ds.newick);
         let mut trees = Vec::new();
         while let Some(t) = stream.next_tree(&mut taxa).expect("parses") {
             trees.push(t);

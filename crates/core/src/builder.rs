@@ -143,21 +143,20 @@ impl BfhBuilder {
 
     /// Parse a Newick stream and build from it. With [`TaxaPolicy::Grow`]
     /// the namespace widens as labels appear; with [`TaxaPolicy::Require`]
-    /// unknown labels are a parse error. Trees are materialized before the
-    /// build so the configured strategy (parallel/sharded) applies; for
-    /// constant-memory sequential folding of huge files, stream trees
-    /// manually into [`Bfh::add_tree_with`].
+    /// unknown labels are a parse error. A parse error carries its
+    /// absolute byte offset in the stream and leaves `taxa` as it was.
+    /// Trees are materialized before the build so the configured strategy
+    /// (parallel/sharded) applies; for constant-memory sequential folding
+    /// of huge files, stream trees manually into [`Bfh::add_tree_with`].
     pub fn from_newick_reader<R: BufRead>(
         &self,
         reader: R,
         taxa: &mut TaxonSet,
         policy: TaxaPolicy,
     ) -> Result<Bfh, CoreError> {
-        let mut stream = phylo::newick::NewickStream::new(reader, policy);
-        let mut trees = Vec::new();
-        while let Some(t) = stream.next_tree(taxa)? {
-            trees.push(t);
-        }
+        let mark = taxa.len();
+        let (trees, _) = phylo::ingest::read_trees(reader, taxa, policy, IngestPolicy::Strict)
+            .inspect_err(|_| taxa.truncate(mark))?;
         self.from_trees(&trees, taxa)
     }
 
@@ -272,5 +271,22 @@ mod tests {
             .from_newick_reader(text.as_bytes(), &mut known, TaxaPolicy::Require)
             .unwrap_err();
         assert!(matches!(err, CoreError::Phylo(_)));
+    }
+
+    #[test]
+    fn from_newick_reader_errors_point_into_the_file_and_leave_taxa() {
+        // The unterminated second record (file bytes 15..25) fails at the
+        // end of the file, not at its own byte 10.
+        let text = "((A,B),(C,D));\n(E,F,(G,H)";
+        let mut taxa = TaxonSet::new();
+        taxa.intern("A");
+        let err = BfhBuilder::new()
+            .from_newick_reader(text.as_bytes(), &mut taxa, TaxaPolicy::Grow)
+            .unwrap_err();
+        let CoreError::Phylo(phylo::PhyloError::Parse { offset, .. }) = err else {
+            panic!("expected a parse error, got {err:?}");
+        };
+        assert_eq!(offset, text.len());
+        assert_eq!(taxa.to_string(), "TaxonSet[1]{A}");
     }
 }

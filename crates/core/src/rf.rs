@@ -7,7 +7,7 @@
 
 use crate::bfh::Bfh;
 use crate::CoreError;
-use phylo::{BipartitionScratch, TaxaPolicy, TaxonSet, Tree};
+use phylo::{BipartitionScratch, IngestPolicy, NewickReader, TaxaPolicy, TaxonSet, Tree};
 use std::io::BufRead;
 
 /// Exact average-RF result for one query tree against a collection.
@@ -197,7 +197,7 @@ pub fn bfhrf_streaming<R: BufRead>(
     if bfh.n_trees() == 0 {
         return Err(CoreError::EmptyReference);
     }
-    let mut stream = phylo::newick::NewickStream::new(reader, TaxaPolicy::Require);
+    let mut stream = NewickReader::new(reader, TaxaPolicy::Require, IngestPolicy::Strict);
     let mut scratch = BipartitionScratch::new();
     let mut out = Vec::new();
     while let Some(tree) = stream.next_tree(taxa)? {

@@ -5,19 +5,18 @@
 //! carry malformed records, editor damage, and encoding junk, and a strict
 //! reader aborts a 100k-tree run on the first bad byte. This module adds a
 //! recovery mode: [`NewickReader`] splits the byte stream into `;`-terminated
-//! records (the same quote/comment-aware scan as
-//! [`NewickStream`](crate::newick::NewickStream)) while tracking absolute
-//! byte offsets and line numbers, and under [`IngestPolicy::Lenient`] skips a
+//! records (a quote- and comment-aware scan) while tracking absolute byte
+//! offsets and line numbers, and under [`IngestPolicy::Lenient`] skips a
 //! malformed record, resynchronizes at the next record boundary, and logs the
 //! failure in an [`IngestReport`] instead of aborting.
 //!
 //! Two invariants make lenient mode safe to use for RF comparisons:
 //!
 //! 1. **Namespace rollback.** A record that fails mid-parse may already have
-//!    interned labels under [`TaxaPolicy::Grow`]. Those labels are rolled
-//!    back ([`TaxonSet::truncate`]) so a skipped record leaves *no trace*:
-//!    the accepted trees are bit-for-bit identical to parsing a pre-cleaned
-//!    file.
+//!    interned labels under [`TaxaPolicy::Grow`]. [`parse_newick`] rolls
+//!    those back ([`TaxonSet::truncate`]) so a skipped record leaves *no
+//!    trace*: the accepted trees are bit-for-bit identical to parsing a
+//!    pre-cleaned file.
 //! 2. **Typed exhaustion.** `Lenient { max_errors }` bounds how much garbage
 //!    the reader will wade through; exceeding the budget returns
 //!    [`PhyloError::ErrorLimit`] rather than silently producing an empty
@@ -110,11 +109,11 @@ impl IngestReport {
 
 /// Streaming Newick reader with absolute positions and error recovery.
 ///
-/// Like [`NewickStream`](crate::newick::NewickStream) this yields one tree
-/// at a time from any `BufRead` source in O(one record) memory, but it also
-/// tracks the absolute byte offset and line number of every record so errors
-/// point into the *file*, not into an anonymous record, and it supports
-/// lenient recovery via [`IngestPolicy`].
+/// Yields one tree at a time from any `BufRead` source in O(one record)
+/// memory — what lets BFHRF process 149k-tree files in O(hash) space. It
+/// tracks the absolute byte offset and line number of every record so
+/// errors point into the *file*, not into an anonymous record, and it
+/// supports lenient recovery via [`IngestPolicy`].
 pub struct NewickReader<R: BufRead> {
     reader: R,
     taxa_policy: TaxaPolicy,
@@ -164,7 +163,6 @@ impl<R: BufRead> NewickReader<R> {
             let Some((start_offset, start_line, complete)) = self.next_record()? else {
                 return Ok(None);
             };
-            let mark = taxa.len();
             let parsed = if !complete {
                 Err(PhyloError::parse(
                     self.buf.len(),
@@ -185,8 +183,7 @@ impl<R: BufRead> NewickReader<R> {
                     return Ok(Some(tree));
                 }
                 Err(error) => {
-                    // A failed record must leave no trace in the namespace.
-                    taxa.truncate(mark);
+                    // `parse_newick` already rolled the namespace back.
                     let rel = match &error {
                         PhyloError::Parse { offset, .. } => *offset,
                         _ => 0,
@@ -272,52 +269,47 @@ impl<R: BufRead> NewickReader<R> {
         let mut in_quote = false;
         let mut comment_depth = 0usize;
         loop {
-            let (consumed, complete, newlines, empty) = {
-                let chunk = self.reader.fill_buf().map_err(|e| {
-                    PhyloError::parse(self.offset, format!("I/O error reading newick stream: {e}"))
-                })?;
-                if chunk.is_empty() {
-                    (0, false, 0, true)
-                } else {
-                    let mut consumed = chunk.len();
-                    let mut complete = false;
-                    for (i, &b) in chunk.iter().enumerate() {
-                        self.buf.push(b);
-                        if in_quote {
-                            if b == b'\'' {
-                                in_quote = false; // '' escape re-enters on next quote
-                            }
-                        } else if comment_depth > 0 {
-                            match b {
-                                b'[' => comment_depth += 1,
-                                b']' => comment_depth -= 1,
-                                _ => {}
-                            }
-                        } else {
-                            match b {
-                                b'\'' => in_quote = true,
-                                b'[' => comment_depth = 1,
-                                b';' => {
-                                    consumed = i + 1;
-                                    complete = true;
-                                    break;
-                                }
-                                _ => {}
-                            }
-                        }
-                    }
-                    let newlines = chunk[..consumed].iter().filter(|&&b| b == b'\n').count();
-                    (consumed, complete, newlines, false)
-                }
-            };
-            if empty {
+            let chunk = self.reader.fill_buf().map_err(|e| {
+                PhyloError::parse(self.offset, format!("I/O error reading newick stream: {e}"))
+            })?;
+            if chunk.is_empty() {
                 self.done = true;
                 return Ok(Some((start_offset, start_line, false)));
             }
+            // One pass finds the terminator and counts newlines; the bytes
+            // up to it are then copied at once.
+            let mut end = None;
+            let mut newlines = 0;
+            for (i, &b) in chunk.iter().enumerate() {
+                newlines += usize::from(b == b'\n');
+                if in_quote {
+                    if b == b'\'' {
+                        in_quote = false; // '' escape re-enters on next quote
+                    }
+                } else if comment_depth > 0 {
+                    match b {
+                        b'[' => comment_depth += 1,
+                        b']' => comment_depth -= 1,
+                        _ => {}
+                    }
+                } else {
+                    match b {
+                        b'\'' => in_quote = true,
+                        b'[' => comment_depth = 1,
+                        b';' => {
+                            end = Some(i + 1);
+                            break;
+                        }
+                        _ => {}
+                    }
+                }
+            }
+            let consumed = end.unwrap_or(chunk.len());
+            self.buf.extend_from_slice(&chunk[..consumed]);
             self.offset += consumed;
             self.line += newlines;
             self.reader.consume(consumed);
-            if complete {
+            if end.is_some() {
                 return Ok(Some((start_offset, start_line, true)));
             }
         }

@@ -1,4 +1,4 @@
-//! Newick tree serialization: lexer, parser, writer, streaming reader.
+//! Newick tree serialization: a single-pass parser and a writer.
 //!
 //! The dialect follows what Dendropy (the paper's foundation) accepts:
 //!
@@ -6,258 +6,369 @@
 //!   escaping (`'Homo sapiens (human)'`),
 //! * bracket comments `[...]`, which may nest,
 //! * branch lengths after `:` in integer/decimal/scientific notation,
-//! * internal node labels (stored, and round-tripped by the writer),
+//! * internal node labels (accepted, not stored),
 //! * multifurcations and single-leaf trees.
 //!
-//! Parsing is iterative (no recursion), so deeply nested caterpillar trees
-//! cannot overflow the stack. The [`NewickStream`] reader yields trees one
-//! at a time from any `BufRead` source — this is the "dynamically load Q"
-//! behaviour the BFHRF algorithm exploits to keep memory flat.
+//! The parser is one forward scan over the bytes. Each byte's role comes
+//! from one 256-entry class table; trivia (whitespace, comments) is
+//! skipped once per token, and the grammar acts on each token as it ends,
+//! emitting [`TreeSink`] events, so no token values are built. A branch
+//! length is validated in the same pass that finds its end: its digit runs
+//! are checked 8 bytes at a time. Parsing is iterative (no recursion), so
+//! deeply nested caterpillar trees cannot overflow the stack.
+//! [`crate::NewickReader`] yields trees one at a time from any `BufRead`
+//! source — the "dynamically load Q" behaviour the BFHRF algorithm
+//! exploits to keep memory flat.
 
 use crate::taxa::{TaxonId, TaxonSet};
 use crate::tree::{NodeId, Tree, TreeBuilder, TreeSink};
 use crate::PhyloError;
-use std::borrow::Cow;
-use std::io::BufRead;
 
 /// How the parser treats labels not yet in the taxon namespace.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TaxaPolicy {
-    /// Intern unseen labels (used for the first collection read).
+    /// Intern unseen labels (used for the first collection read). A parse
+    /// that fails forgets the labels it interned.
     Grow,
     /// Error with [`PhyloError::UnknownTaxon`] on unseen labels (used to
     /// enforce the paper's fixed-taxa requirement across `Q` and `R`).
     Require,
 }
 
-#[derive(Debug, PartialEq)]
-enum Token<'a> {
+/// What a byte is to the scanner.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Class {
+    /// Part of an unquoted label or branch length.
+    Bare,
+    /// ASCII whitespace.
+    Space,
+    /// `[`, the start of a comment.
+    Comment,
+    /// `'`, the start of a quoted label.
+    Quote,
     Open,
     Close,
     Comma,
     Colon,
     Semicolon,
-    /// Borrowed from the input unless quote escapes (or non-ASCII bytes
-    /// inside quotes) force a rewrite.
-    Label(Cow<'a, str>),
-    Number(f64),
 }
 
-/// What a bare (unquoted) token means where the parser asks for one.
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum Bare {
-    /// A node label.
-    Label,
-    /// A branch length, right after `:`.
-    Length,
-    /// A branch length the sink will not read: it must still parse, but a
-    /// plain decimal (see [`is_plain_decimal`]) need not be converted.
-    UnreadLength,
-}
-
-/// Bytes that end a bare token: structural characters and ASCII
-/// whitespace.
-const ENDS_BARE: [bool; 256] = {
-    let mut table = [false; 256];
-    let ends = b"(),:;['\t\n\x0C\r ";
+/// The class of every byte. Everything but whitespace and `(),:;['` is
+/// [`Class::Bare`], non-ASCII bytes included.
+const CLASS: [Class; 256] = {
+    let mut table = [Class::Bare; 256];
+    let spaces = b"\t\n\x0C\r ";
     let mut i = 0;
-    while i < ends.len() {
-        table[ends[i] as usize] = true;
+    while i < spaces.len() {
+        table[spaces[i] as usize] = Class::Space;
         i += 1;
     }
+    table[b'[' as usize] = Class::Comment;
+    table[b'\'' as usize] = Class::Quote;
+    table[b'(' as usize] = Class::Open;
+    table[b')' as usize] = Class::Close;
+    table[b',' as usize] = Class::Comma;
+    table[b':' as usize] = Class::Colon;
+    table[b';' as usize] = Class::Semicolon;
     table
 };
 
-/// Whether `text` is `[+-]?digits[.digits][(e|E)[+-]?digits]` — a form
-/// `f64::from_str` always accepts, so a length nobody reads needs no
-/// conversion. Anything else goes through the real parse.
-fn is_plain_decimal(text: &str) -> bool {
-    fn digits(b: &[u8]) -> usize {
-        b.iter().take_while(|c| c.is_ascii_digit()).count()
-    }
-    let b = text.as_bytes();
-    let mut i = usize::from(matches!(b.first(), Some(b'+' | b'-')));
-    let int = digits(&b[i..]);
-    if int == 0 {
-        return false;
-    }
-    i += int;
-    if b.get(i) == Some(&b'.') {
-        let frac = digits(&b[i + 1..]);
-        if frac == 0 {
-            return false;
-        }
-        i += 1 + frac;
-    }
-    if matches!(b.get(i), Some(b'e' | b'E')) {
-        i += 1;
-        i += usize::from(matches!(b.get(i), Some(b'+' | b'-')));
-        let exp = digits(&b[i..]);
-        if exp == 0 {
-            return false;
-        }
-        i += exp;
-    }
-    i == b.len()
+fn class(b: u8) -> Class {
+    CLASS[b as usize]
 }
 
-struct Lexer<'a> {
+/// End of the bare token that continues at `from`: the first non-bare
+/// byte, or the end of input.
+fn bare_end(bytes: &[u8], from: usize) -> usize {
+    bytes[from..]
+        .iter()
+        .position(|&b| class(b) != Class::Bare)
+        .map_or(bytes.len(), |n| from + n)
+}
+
+/// Length of the run of ASCII digits that `bytes` starts with, checked a
+/// word (8 bytes) at a time.
+fn digit_run(bytes: &[u8]) -> usize {
+    const LOW7: u64 = 0x7f7f_7f7f_7f7f_7f7f;
+    const HIGH: u64 = 0x8080_8080_8080_8080;
+    let mut n = 0;
+    while let Some(chunk) = bytes.get(n..n + 8) {
+        // Digits become 0..=9. A byte's high bit ends up set iff it was
+        // >= 10 (the add carries into bit 7, never past it) or already
+        // had bit 7 set: iff it was not a digit.
+        let w = u64::from_le_bytes(chunk.try_into().expect("8-byte chunk")) ^ 0x3030_3030_3030_3030;
+        let non_digit = (((w & LOW7) + 0x7676_7676_7676_7676) | w) & HIGH;
+        if non_digit != 0 {
+            return n + non_digit.trailing_zeros() as usize / 8;
+        }
+        n += 8;
+    }
+    n + bytes[n..].iter().take_while(|b| b.is_ascii_digit()).count()
+}
+
+/// Scan the bare token at `start` as a branch length, returning its end
+/// and whether it is a plain decimal, `[+-]?d+(.d+)?([eE][+-]?d+)?` — a
+/// form `f64::from_str` always accepts, so a length no sink reads needs
+/// no conversion. The grammar check and the search for the token's end
+/// are one pass.
+fn number_end(bytes: &[u8], start: usize) -> (usize, bool) {
+    let sign = |i: usize| i + usize::from(matches!(bytes.get(i), Some(b'+' | b'-')));
+    let mut i = sign(start);
+    let int = digit_run(&bytes[i..]);
+    i += int;
+    let mut plain = int > 0;
+    if plain && bytes.get(i) == Some(&b'.') {
+        let frac = digit_run(&bytes[i + 1..]);
+        i += 1 + frac;
+        plain = frac > 0;
+    }
+    if plain && matches!(bytes.get(i), Some(b'e' | b'E')) {
+        i = sign(i + 1);
+        let exp = digit_run(&bytes[i..]);
+        i += exp;
+        plain = exp > 0;
+    }
+    match bytes.get(i) {
+        // Every byte so far was bare, so the token goes on.
+        Some(&b) if class(b) == Class::Bare => (bare_end(bytes, i), false),
+        _ => (i, plain),
+    }
+}
+
+/// What the parser knows about the node it is currently filling in.
+#[derive(Clone, Copy, Default)]
+struct NodeState {
+    /// A label was read (a leaf label also set the taxon).
+    named: bool,
+    /// A branch length was read.
+    lengthed: bool,
+    /// The node's child list was closed by `)`.
+    closed: bool,
+}
+
+/// The parser's position in its input.
+struct Scanner<'a> {
     text: &'a str,
-    input: &'a [u8],
     pos: usize,
 }
 
-impl<'a> Lexer<'a> {
-    fn new(input: &'a str) -> Self {
-        Lexer {
-            text: input,
-            input: input.as_bytes(),
-            pos: 0,
-        }
+impl<'a> Scanner<'a> {
+    fn new(text: &'a str) -> Self {
+        Scanner { text, pos: 0 }
     }
 
-    fn skip_trivia(&mut self) -> Result<(), PhyloError> {
+    /// Skip whitespace and comments; the class of the byte now at `pos`,
+    /// or `None` at end of input.
+    fn skip_trivia(&mut self) -> Result<Option<Class>, PhyloError> {
+        let bytes = self.text.as_bytes();
         loop {
-            while self.pos < self.input.len() && self.input[self.pos].is_ascii_whitespace() {
-                self.pos += 1;
+            let Some(&b) = bytes.get(self.pos) else {
+                return Ok(None);
+            };
+            match class(b) {
+                Class::Space => self.pos += 1,
+                Class::Comment => {
+                    let start = self.pos;
+                    let mut depth = 0usize;
+                    loop {
+                        match bytes.get(self.pos) {
+                            None => return Err(PhyloError::parse(start, "unterminated comment")),
+                            Some(b'[') => depth += 1,
+                            Some(b']') => {
+                                depth -= 1;
+                                if depth == 0 {
+                                    break;
+                                }
+                            }
+                            Some(_) => {}
+                        }
+                        self.pos += 1;
+                    }
+                    self.pos += 1; // past ']'
+                }
+                other => return Ok(Some(other)),
             }
-            if self.pos < self.input.len() && self.input[self.pos] == b'[' {
+        }
+    }
+
+    /// Scan the quoted label at `start` and move past it. Returns the
+    /// label when it must be rewritten — `''` escapes, or non-ASCII bytes,
+    /// each of which maps to the char of the same value — and `None` when
+    /// it is the text between the quotes.
+    fn quoted(&mut self, start: usize) -> Result<Option<String>, PhyloError> {
+        let bytes = self.text.as_bytes();
+        let mut i = start + 1;
+        let mut verbatim = true;
+        loop {
+            match bytes.get(i) {
+                None => return Err(PhyloError::parse(start, "unterminated quoted label")),
+                Some(b'\'') if bytes.get(i + 1) == Some(&b'\'') => {
+                    verbatim = false;
+                    i += 2;
+                }
+                Some(b'\'') => break,
+                Some(c) => {
+                    verbatim &= c.is_ascii();
+                    i += 1;
+                }
+            }
+        }
+        self.pos = i + 1;
+        if verbatim {
+            return Ok(None);
+        }
+        let mut label = String::with_capacity(i - start);
+        let mut body = bytes[start + 1..i].iter();
+        while let Some(&c) = body.next() {
+            if c == b'\'' {
+                body.next(); // the second quote of `''`
+            }
+            label.push(c as char);
+        }
+        Ok(Some(label))
+    }
+
+    /// The branch length after the `:` at `colon`, converted only for
+    /// sinks that read it.
+    fn length<S: TreeSink>(&mut self, colon: usize) -> Result<f64, PhyloError> {
+        let expected = || PhyloError::parse(colon, "expected branch length after ':'");
+        match self.skip_trivia()? {
+            None => Err(PhyloError::parse(self.pos, "unexpected end of input")),
+            Some(Class::Bare) => {
                 let start = self.pos;
-                let mut depth = 0usize;
-                while self.pos < self.input.len() {
-                    match self.input[self.pos] {
-                        b'[' => depth += 1,
-                        b']' => {
-                            depth -= 1;
-                            if depth == 0 {
-                                break;
-                            }
-                        }
-                        _ => {}
-                    }
-                    self.pos += 1;
+                let (end, plain) = number_end(self.text.as_bytes(), start);
+                self.pos = end;
+                if plain && !S::READS_LENGTHS {
+                    return Ok(0.0);
                 }
-                if depth != 0 {
-                    return Err(PhyloError::parse(start, "unterminated comment"));
-                }
-                self.pos += 1; // past ']'
-                continue;
+                // A bare token starts and ends next to ASCII bytes (or the
+                // ends of the input), so this slice lies on char boundaries.
+                let text = &self.text[start..end];
+                text.parse().map_err(|_| {
+                    PhyloError::parse(start, format!("invalid branch length {text:?}"))
+                })
             }
-            return Ok(());
+            Some(Class::Quote) => {
+                self.quoted(self.pos)?;
+                Err(expected())
+            }
+            Some(_) => Err(expected()),
         }
     }
 
-    /// Position of the upcoming token (for error messages).
-    fn offset(&self) -> usize {
-        self.pos
-    }
+    /// Parse one tree, emitting it into `sink` as it goes. Every syntax
+    /// check lives here, so the sink never sees a malformed tree complete
+    /// — on an error it has seen a prefix of the events and must be
+    /// discarded.
+    fn tree<S: TreeSink>(
+        &mut self,
+        resolve: &mut impl FnMut(&str) -> Result<TaxonId, PhyloError>,
+        sink: &mut S,
+    ) -> Result<(), PhyloError> {
+        let text = self.text;
+        sink.open(); // the root
+        let mut cur = NodeState::default();
+        // `lengthed` of every open ancestor: a length may precede `(`, and
+        // a second one after the matching `)` is still a duplicate.
+        let mut ancestors: Vec<bool> = Vec::new();
 
-    fn at_end(&mut self) -> Result<bool, PhyloError> {
-        self.skip_trivia()?;
-        Ok(self.pos >= self.input.len())
-    }
-
-    /// `bare` says what an unquoted token is here: right after a `:` (and
-    /// only there) it is a branch length rather than a label.
-    fn next_token(&mut self, bare: Bare) -> Result<Token<'a>, PhyloError> {
-        self.skip_trivia()?;
-        let start = self.pos;
-        let Some(&b) = self.input.get(self.pos) else {
-            return Err(PhyloError::parse(start, "unexpected end of input"));
-        };
-        match b {
-            b'(' => {
-                self.pos += 1;
-                Ok(Token::Open)
-            }
-            b')' => {
-                self.pos += 1;
-                Ok(Token::Close)
-            }
-            b',' => {
-                self.pos += 1;
-                Ok(Token::Comma)
-            }
-            b':' => {
-                self.pos += 1;
-                Ok(Token::Colon)
-            }
-            b';' => {
-                self.pos += 1;
-                Ok(Token::Semicolon)
-            }
-            b'\'' => {
-                self.pos += 1;
-                let body = self.pos;
-                // Each byte maps to the char of the same value and `''`
-                // to one quote; a label with neither escapes nor
-                // non-ASCII bytes is therefore the input slice itself.
-                let mut label: Option<String> = None;
-                loop {
-                    match self.input.get(self.pos) {
-                        None => return Err(PhyloError::parse(start, "unterminated quoted label")),
-                        Some(b'\'') => {
-                            if self.input.get(self.pos + 1) == Some(&b'\'') {
-                                label.get_or_insert_with(|| self.latin1(body)).push('\'');
-                                self.pos += 2;
-                            } else {
-                                self.pos += 1;
-                                break;
-                            }
-                        }
-                        Some(&c) => {
-                            if let Some(l) = &mut label {
-                                l.push(c as char);
-                            } else if !c.is_ascii() {
-                                label = Some(self.latin1(body));
-                                continue;
-                            }
-                            self.pos += 1;
-                        }
+        loop {
+            let Some(token) = self.skip_trivia()? else {
+                return Err(PhyloError::parse(self.pos, "unexpected end of input"));
+            };
+            let at = self.pos;
+            match token {
+                Class::Open => {
+                    if cur.named {
+                        return Err(PhyloError::parse(at, "unexpected '(' after label"));
                     }
-                }
-                Ok(Token::Label(match label {
-                    Some(l) => Cow::Owned(l),
-                    None => Cow::Borrowed(self.ascii(body, self.pos - 1)),
-                }))
-            }
-            _ => {
-                // bare token: runs until a structural character
-                while self.pos < self.input.len() && !ENDS_BARE[self.input[self.pos] as usize] {
+                    if cur.closed {
+                        return Err(PhyloError::parse(at, "unexpected '(': node already closed"));
+                    }
                     self.pos += 1;
+                    ancestors.push(cur.lengthed);
+                    cur = NodeState::default();
+                    sink.open();
                 }
-                // Tokens start and end next to ASCII bytes, so this slice
-                // lies on char boundaries.
-                let text = self
-                    .text
-                    .get(start..self.pos)
-                    .ok_or_else(|| PhyloError::parse(start, "invalid UTF-8 in label"))?;
-                match bare {
-                    Bare::Label => Ok(Token::Label(Cow::Borrowed(text))),
-                    Bare::UnreadLength if is_plain_decimal(text) => Ok(Token::Number(0.0)),
-                    Bare::Length | Bare::UnreadLength => {
-                        let v: f64 = text.parse().map_err(|_| {
-                            PhyloError::parse(start, format!("invalid branch length {text:?}"))
-                        })?;
-                        Ok(Token::Number(v))
+                Class::Comma => {
+                    if ancestors.is_empty() {
+                        return Err(PhyloError::parse(at, "',' outside parentheses"));
                     }
+                    finish_node(cur, at)?;
+                    self.pos += 1;
+                    sink.close();
+                    cur = NodeState::default();
+                    sink.open();
                 }
+                Class::Close => {
+                    let Some(lengthed) = ancestors.pop() else {
+                        return Err(PhyloError::parse(at, "unbalanced ')'"));
+                    };
+                    finish_node(cur, at)?;
+                    self.pos += 1;
+                    sink.close();
+                    cur = NodeState {
+                        named: false,
+                        lengthed,
+                        closed: true,
+                    };
+                }
+                Class::Colon => {
+                    if cur.lengthed {
+                        return Err(PhyloError::parse(at, "duplicate branch length"));
+                    }
+                    self.pos += 1;
+                    sink.length(self.length::<S>(at)?);
+                    cur.lengthed = true;
+                }
+                Class::Semicolon => {
+                    if !ancestors.is_empty() {
+                        return Err(PhyloError::parse(at, "unbalanced '(': tree ended early"));
+                    }
+                    finish_node(cur, at)?;
+                    self.pos += 1;
+                    sink.close();
+                    return Ok(());
+                }
+                Class::Quote | Class::Bare => {
+                    let rewritten;
+                    let label = if token == Class::Quote {
+                        rewritten = self.quoted(at)?;
+                        rewritten.as_deref().unwrap_or(&text[at + 1..self.pos - 1])
+                    } else {
+                        self.pos = bare_end(text.as_bytes(), at);
+                        // On char boundaries, as in `length`.
+                        &text[at..self.pos]
+                    };
+                    if cur.named {
+                        return Err(PhyloError::parse(
+                            at,
+                            format!("unexpected second label {label:?}"),
+                        ));
+                    }
+                    if !cur.closed {
+                        // leaf name → taxon
+                        sink.taxon(resolve(label)?);
+                    }
+                    // Internal labels (clade names / support values) are
+                    // parsed for dialect compatibility but not stored:
+                    // nothing in the RF pipeline reads them, and dropping
+                    // them keeps nodes at two words.
+                    cur.named = true;
+                }
+                Class::Space | Class::Comment => unreachable!("skipped as trivia"),
             }
         }
     }
+}
 
-    /// `input[from..self.pos]`, known to be ASCII, as a `&str`.
-    fn ascii(&self, from: usize, to: usize) -> &'a str {
-        std::str::from_utf8(&self.input[from..to]).expect("quoted label prefix is ASCII")
+/// A node is finished when `,`, `)` or `;` closes it: leaves must have
+/// received a taxon by then.
+fn finish_node(node: NodeState, offset: usize) -> Result<(), PhyloError> {
+    if !node.closed && !node.named {
+        return Err(PhyloError::parse(offset, "leaf without a label"));
     }
-
-    /// The quoted-label bytes read so far, one char per byte.
-    fn latin1(&self, from: usize) -> String {
-        self.input[from..self.pos]
-            .iter()
-            .map(|&c| c as char)
-            .collect()
-    }
+    Ok(())
 }
 
 /// Parse one Newick tree (terminated by `;`) from `input`.
@@ -265,15 +376,18 @@ impl<'a> Lexer<'a> {
 /// Leaf labels are resolved against `taxa` under `policy`. Internal labels
 /// (support values etc.) are accepted but not stored. Trailing content
 /// after the `;` is an error — use [`read_trees_from_str`] or
-/// [`NewickStream`] for multi-tree inputs.
+/// [`crate::NewickReader`] for multi-tree inputs. On error the namespace
+/// is left as it was.
 pub fn parse_newick(
     input: &str,
     taxa: &mut TaxonSet,
     policy: TaxaPolicy,
 ) -> Result<Tree, PhyloError> {
-    let mut tree = TreeBuilder::default();
-    parse_whole(input, &mut policy_resolver(taxa, policy), &mut tree)?;
-    Ok(tree.finish())
+    or_roll_back(taxa, |taxa| {
+        let mut tree = TreeBuilder::default();
+        parse_whole(input, &mut policy_resolver(taxa, policy), &mut tree)?;
+        Ok(tree.finish())
+    })
 }
 
 /// [`parse_newick`] against a **shared** namespace with
@@ -304,32 +418,46 @@ fn parse_whole<S: TreeSink>(
     resolve: &mut impl FnMut(&str) -> Result<TaxonId, PhyloError>,
     sink: &mut S,
 ) -> Result<(), PhyloError> {
-    let mut lexer = Lexer::new(input);
-    parse_one(&mut lexer, resolve, sink)?;
-    if !lexer.at_end()? {
-        return Err(PhyloError::parse(
-            lexer.offset(),
-            "trailing content after ';'",
-        ));
+    let mut scanner = Scanner::new(input);
+    scanner.tree(resolve, sink)?;
+    if scanner.skip_trivia()?.is_some() {
+        return Err(PhyloError::parse(scanner.pos, "trailing content after ';'"));
     }
     Ok(())
 }
 
-/// Parse every tree in `input` (one per `;`).
+/// Parse every tree in `input` (one per `;`). On error the namespace is
+/// left as it was.
 pub fn read_trees_from_str(
     input: &str,
     taxa: &mut TaxonSet,
     policy: TaxaPolicy,
 ) -> Result<Vec<Tree>, PhyloError> {
-    let mut lexer = Lexer::new(input);
-    let mut resolve = policy_resolver(taxa, policy);
-    let mut out = Vec::new();
-    while !lexer.at_end()? {
-        let mut tree = TreeBuilder::default();
-        parse_one(&mut lexer, &mut resolve, &mut tree)?;
-        out.push(tree.finish());
+    or_roll_back(taxa, |taxa| {
+        let mut scanner = Scanner::new(input);
+        let mut resolve = policy_resolver(taxa, policy);
+        let mut out = Vec::new();
+        while scanner.skip_trivia()?.is_some() {
+            let mut tree = TreeBuilder::default();
+            scanner.tree(&mut resolve, &mut tree)?;
+            out.push(tree.finish());
+        }
+        Ok(out)
+    })
+}
+
+/// Run `parse` against `taxa`; if it fails, forget every label it
+/// interned, so a rejected input leaves no trace in the namespace.
+fn or_roll_back<T>(
+    taxa: &mut TaxonSet,
+    parse: impl FnOnce(&mut TaxonSet) -> Result<T, PhyloError>,
+) -> Result<T, PhyloError> {
+    let mark = taxa.len();
+    let out = parse(taxa);
+    if out.is_err() {
+        taxa.truncate(mark);
     }
-    Ok(out)
+    out
 }
 
 /// Label resolution under a [`TaxaPolicy`], as a closure so the parser
@@ -342,137 +470,6 @@ fn policy_resolver(
         TaxaPolicy::Grow => Ok(taxa.intern(label)),
         TaxaPolicy::Require => taxa.require(label),
     }
-}
-
-/// What the parser knows about the node it is currently filling in.
-#[derive(Clone, Copy, Default)]
-struct NodeState {
-    /// A label was read (a leaf label also set the taxon).
-    named: bool,
-    /// A branch length was read.
-    lengthed: bool,
-    /// The node's child list was closed by `)`.
-    closed: bool,
-}
-
-/// Parse one tree, emitting it into `sink` as it goes. Every syntax check
-/// lives here, so the sink never sees a malformed tree complete — on an
-/// error it has seen a prefix of the events and must be discarded.
-fn parse_one<S: TreeSink>(
-    lexer: &mut Lexer<'_>,
-    resolve: &mut impl FnMut(&str) -> Result<TaxonId, PhyloError>,
-    sink: &mut S,
-) -> Result<(), PhyloError> {
-    sink.open(); // the root
-    let mut cur = NodeState::default();
-    // `lengthed` of every open ancestor: a length may precede `(`, and a
-    // second one after the matching `)` is still a duplicate.
-    let mut ancestors: Vec<bool> = Vec::new();
-
-    loop {
-        let offset = {
-            lexer.skip_trivia()?;
-            lexer.offset()
-        };
-        match lexer.next_token(Bare::Label)? {
-            Token::Open => {
-                if cur.named {
-                    return Err(PhyloError::parse(offset, "unexpected '(' after label"));
-                }
-                if cur.closed {
-                    return Err(PhyloError::parse(
-                        offset,
-                        "unexpected '(': node already closed",
-                    ));
-                }
-                ancestors.push(cur.lengthed);
-                cur = NodeState::default();
-                sink.open();
-            }
-            Token::Comma => {
-                if ancestors.is_empty() {
-                    return Err(PhyloError::parse(offset, "',' outside parentheses"));
-                }
-                finish_node(cur, offset)?;
-                sink.close();
-                cur = NodeState::default();
-                sink.open();
-            }
-            Token::Close => {
-                let Some(&lengthed) = ancestors.last() else {
-                    return Err(PhyloError::parse(offset, "unbalanced ')'"));
-                };
-                finish_node(cur, offset)?;
-                sink.close();
-                ancestors.pop();
-                cur = NodeState {
-                    named: false,
-                    lengthed,
-                    closed: true,
-                };
-            }
-            Token::Colon => {
-                if cur.lengthed {
-                    return Err(PhyloError::parse(offset, "duplicate branch length"));
-                }
-                let bare = if S::READS_LENGTHS {
-                    Bare::Length
-                } else {
-                    Bare::UnreadLength
-                };
-                match lexer.next_token(bare)? {
-                    Token::Number(v) => {
-                        sink.length(v);
-                        cur.lengthed = true;
-                    }
-                    _ => {
-                        return Err(PhyloError::parse(
-                            offset,
-                            "expected branch length after ':'",
-                        ))
-                    }
-                }
-            }
-            Token::Semicolon => {
-                if !ancestors.is_empty() {
-                    return Err(PhyloError::parse(
-                        offset,
-                        "unbalanced '(': tree ended early",
-                    ));
-                }
-                finish_node(cur, offset)?;
-                sink.close();
-                return Ok(());
-            }
-            Token::Label(label) => {
-                if cur.named {
-                    return Err(PhyloError::parse(
-                        offset,
-                        format!("unexpected second label {label:?}"),
-                    ));
-                }
-                if !cur.closed {
-                    // leaf name → taxon
-                    sink.taxon(resolve(&label)?);
-                }
-                // Internal labels (clade names / support values) are parsed
-                // for dialect compatibility but not stored: nothing in the
-                // RF pipeline reads them, and dropping them keeps nodes at
-                // two words.
-                cur.named = true;
-            }
-            Token::Number(_) => unreachable!("numbers only requested after ':'"),
-        }
-    }
-}
-
-/// A node is finished when `,`, `)` or `;` closes it: leaves must have
-/// received a taxon by then.
-fn finish_node(node: NodeState, offset: usize) -> Result<(), PhyloError> {
-    if !node.closed && !node.named {
-        return Err(PhyloError::parse(offset, "leaf without a label"));
-    }
-    Ok(())
 }
 
 /// Serialize `tree` to Newick, quoting labels when necessary and emitting
@@ -563,95 +560,10 @@ fn push_label(label: &str, out: &mut String) {
     }
 }
 
-/// Streaming reader yielding one tree at a time from a `BufRead` source.
-///
-/// Splits the byte stream on top-level `;` (respecting quotes and
-/// comments), then parses each chunk. Memory stays proportional to one
-/// tree, which is what lets BFHRF process 149k-tree files in O(hash) space.
-pub struct NewickStream<R: BufRead> {
-    reader: R,
-    policy: TaxaPolicy,
-    buf: Vec<u8>,
-    done: bool,
-}
-
-impl<R: BufRead> NewickStream<R> {
-    /// Create a stream with the given taxa policy.
-    pub fn new(reader: R, policy: TaxaPolicy) -> Self {
-        NewickStream {
-            reader,
-            policy,
-            buf: Vec::new(),
-            done: false,
-        }
-    }
-
-    /// Read the next tree, resolving labels against `taxa`.
-    ///
-    /// Returns `Ok(None)` at end of input. The taxon set is passed per call
-    /// (not owned) so one namespace can serve several streams — reference
-    /// and query files in the BFHRF pipeline.
-    pub fn next_tree(&mut self, taxa: &mut TaxonSet) -> Result<Option<Tree>, PhyloError> {
-        if self.done {
-            return Ok(None);
-        }
-        self.buf.clear();
-        let mut in_quote = false;
-        let mut comment_depth = 0usize;
-        loop {
-            let chunk = self.reader.fill_buf().map_err(|e| {
-                PhyloError::parse(0, format!("I/O error reading newick stream: {e}"))
-            })?;
-            if chunk.is_empty() {
-                self.done = true;
-                if self.buf.iter().all(|b| b.is_ascii_whitespace()) {
-                    return Ok(None);
-                }
-                return Err(PhyloError::parse(
-                    self.buf.len(),
-                    "unterminated tree at end of input (missing ';')",
-                ));
-            }
-            let mut consumed = chunk.len();
-            let mut complete = false;
-            for (i, &b) in chunk.iter().enumerate() {
-                self.buf.push(b);
-                if in_quote {
-                    if b == b'\'' {
-                        in_quote = false; // '' escape re-enters on next quote
-                    }
-                } else if comment_depth > 0 {
-                    match b {
-                        b'[' => comment_depth += 1,
-                        b']' => comment_depth -= 1,
-                        _ => {}
-                    }
-                } else {
-                    match b {
-                        b'\'' => in_quote = true,
-                        b'[' => comment_depth = 1,
-                        b';' => {
-                            consumed = i + 1;
-                            complete = true;
-                            break;
-                        }
-                        _ => {}
-                    }
-                }
-            }
-            self.reader.consume(consumed);
-            if complete {
-                let text = std::str::from_utf8(&self.buf)
-                    .map_err(|_| PhyloError::parse(0, "invalid UTF-8 in newick stream"))?;
-                return parse_newick(text, taxa, self.policy).map(Some);
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{IngestPolicy, NewickReader};
 
     fn grow(s: &str) -> (Tree, TaxonSet) {
         let mut taxa = TaxonSet::new();
@@ -725,6 +637,23 @@ mod tests {
     }
 
     #[test]
+    fn grow_policy_rolls_back_a_failed_parse() {
+        let mut taxa = TaxonSet::new();
+        taxa.intern("A");
+        assert!(parse_newick("(A,B,(C,D)", &mut taxa, TaxaPolicy::Grow).is_err());
+        assert_eq!(taxa.to_string(), "TaxonSet[1]{A}");
+        let err = read_trees_from_str("(A,E);\n(F,(G,", &mut taxa, TaxaPolicy::Grow);
+        assert!(err.is_err());
+        assert_eq!(
+            taxa.to_string(),
+            "TaxonSet[1]{A}",
+            "earlier trees of the call too"
+        );
+        parse_newick("(A,B);", &mut taxa, TaxaPolicy::Grow).unwrap();
+        assert_eq!(taxa.to_string(), "TaxonSet[2]{A, B}");
+    }
+
+    #[test]
     fn malformed_inputs_error_with_position() {
         let cases = [
             "((A,B);",     // unbalanced (
@@ -787,11 +716,15 @@ mod tests {
         assert_eq!(taxa.len(), 3);
     }
 
+    fn strict_reader(data: &str) -> NewickReader<&[u8]> {
+        NewickReader::new(data.as_bytes(), TaxaPolicy::Grow, IngestPolicy::Strict)
+    }
+
     #[test]
     fn stream_yields_trees_one_by_one() {
         let data = "((A,B),(C,D));\n((A,C),(B,D)); [note] ((A,D),(B,C));";
         let mut taxa = TaxonSet::new();
-        let mut stream = NewickStream::new(data.as_bytes(), TaxaPolicy::Grow);
+        let mut stream = strict_reader(data);
         let mut count = 0;
         while let Some(t) = stream.next_tree(&mut taxa).unwrap() {
             assert_eq!(t.leaf_count(), 4);
@@ -807,7 +740,7 @@ mod tests {
     fn stream_handles_semicolons_inside_quotes_and_comments() {
         let data = "('a;b',C);[x;y](C,'a;b');";
         let mut taxa = TaxonSet::new();
-        let mut stream = NewickStream::new(data.as_bytes(), TaxaPolicy::Grow);
+        let mut stream = strict_reader(data);
         let t1 = stream.next_tree(&mut taxa).unwrap().unwrap();
         let t2 = stream.next_tree(&mut taxa).unwrap().unwrap();
         assert!(stream.next_tree(&mut taxa).unwrap().is_none());
@@ -819,8 +752,13 @@ mod tests {
     #[test]
     fn stream_reports_unterminated_tree() {
         let mut taxa = TaxonSet::new();
-        let mut stream = NewickStream::new("(A,B)".as_bytes(), TaxaPolicy::Grow);
+        let mut stream = strict_reader("(A,B)");
         assert!(stream.next_tree(&mut taxa).is_err());
+    }
+
+    /// Whether `text`, alone, scans as one plain-decimal length token.
+    fn scans_as_plain_decimal(text: &str) -> bool {
+        !text.is_empty() && number_end(text.as_bytes(), 0) == (text.len(), true)
     }
 
     #[test]
@@ -834,12 +772,12 @@ mod tests {
             "2.5E+10",
             "0.23073479096515997",
         ] {
-            assert!(is_plain_decimal(ok), "{ok}");
+            assert!(scans_as_plain_decimal(ok), "{ok}");
         }
         for other in [
             "", ".5", "1.", "1e", "e3", "1.2.3", "inf", "NaN", "1_0", "--1", "0x1",
         ] {
-            assert!(!is_plain_decimal(other), "{other}");
+            assert!(!scans_as_plain_decimal(other), "{other}");
         }
         // Random strings over the grammar's alphabet: whatever the fast
         // check accepts, the real parser accepts too.
@@ -854,8 +792,49 @@ mod tests {
                 s.push(alphabet[(x % alphabet.len() as u64) as usize] as char);
             }
             x = x.wrapping_add(0x632b_e59b_d9b4_e019);
-            if is_plain_decimal(&s) {
+            if scans_as_plain_decimal(&s) {
                 assert!(s.parse::<f64>().is_ok(), "{s:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn length_tokens_end_at_the_first_structural_byte() {
+        for (text, end, plain) in [
+            ("0.25,", 4, true),
+            ("12)", 2, true),
+            ("1e-3[c]", 4, true),
+            ("1.5x,", 4, false),
+            ("inf;", 3, false),
+            ("+ ", 1, false),
+            ("1.;", 2, false),
+            ("123456789012345678", 18, true),
+        ] {
+            assert_eq!(number_end(text.as_bytes(), 0), (end, plain), "{text:?}");
+        }
+    }
+
+    #[test]
+    fn digit_run_matches_a_bytewise_scan() {
+        // Every byte value at every offset of a 20-byte digit field, so
+        // runs end inside, at and across 8-byte word boundaries.
+        let mut field = *b"01234567890123456789";
+        for at in 0..field.len() {
+            for b in 0..=255u8 {
+                let keep = field[at];
+                field[at] = b;
+                for from in 0..field.len() {
+                    let want = field[from..]
+                        .iter()
+                        .take_while(|c| c.is_ascii_digit())
+                        .count();
+                    assert_eq!(
+                        digit_run(&field[from..]),
+                        want,
+                        "byte {b} at {at}, from {from}"
+                    );
+                }
+                field[at] = keep;
             }
         }
     }

@@ -4,8 +4,7 @@
 //! the same treatment.
 
 use phylo::ingest::read_collection;
-use phylo::newick::NewickStream;
-use phylo::{parse_newick, IngestPolicy, PhyloError, TaxaPolicy, TaxonSet};
+use phylo::{parse_newick, IngestPolicy, NewickReader, PhyloError, TaxaPolicy, TaxonSet};
 use proptest::prelude::*;
 
 proptest! {
@@ -25,7 +24,7 @@ proptest! {
         let _ = parse_newick(&s, &mut taxa, TaxaPolicy::Grow);
         // the streaming splitter must also survive and terminate
         let mut taxa2 = TaxonSet::new();
-        let mut stream = NewickStream::new(s.as_bytes(), TaxaPolicy::Grow);
+        let mut stream = NewickReader::new(s.as_bytes(), TaxaPolicy::Grow, IngestPolicy::Strict);
         for _ in 0..200 {
             match stream.next_tree(&mut taxa2) {
                 Ok(None) | Err(_) => break,

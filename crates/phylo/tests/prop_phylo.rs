@@ -2,7 +2,9 @@
 //! satisfy the textbook invariants (split counts, round-trips, edit-move
 //! distances) for every topology, not just hand-picked examples.
 
-use phylo::{parse_newick, write_newick, TaxaPolicy, TaxonSet, Tree};
+mod reference_newick;
+
+use phylo::{parse_newick, write_newick, PhyloError, TaxaPolicy, TaxonSet, Tree};
 use phylo_bitset::Bits;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -256,18 +258,41 @@ fn random_shaped_tree(width: usize, seed: u64, ghosts: bool) -> (Tree, TaxonSet)
     (tree, taxa)
 }
 
+/// Length spellings beyond the tree's own value: signs, exponents,
+/// `inf`, and digit runs that end before, at and after an 8-byte word.
+const ODD_LENGTHS: [&str; 10] = [
+    "1e-3",
+    "+0.5",
+    "inf",
+    "-0",
+    "2.5E+10",
+    "1234567",
+    "12345678",
+    "123456789.0123456",
+    "0.23073479096515997",
+    "7.",
+];
+
 /// Newick text of `tree` with every dialect feature the parser accepts:
-/// quoted labels (always where needed, sometimes where not), comments,
-/// internal labels, and the tree's edge lengths.
+/// quoted labels (always where needed, sometimes where not), comments
+/// (sometimes nested), internal labels, and edge lengths — the tree's
+/// own, or sometimes an [`ODD_LENGTHS`] spelling.
 fn noisy_newick(tree: &Tree, taxa: &TaxonSet, seed: u64) -> String {
     let mut rng = StdRng::seed_from_u64(seed ^ 0x5eed);
     let mut out = String::new();
     let node_tail = |out: &mut String, node: phylo::NodeId, rng: &mut StdRng| {
         if let Some(len) = tree.length(node) {
-            out.push_str(&format!(":{len}"));
+            if rng.random_range(0..4) == 0 {
+                out.push(':');
+                out.push_str(ODD_LENGTHS[rng.random_range(0..ODD_LENGTHS.len())]);
+            } else {
+                out.push_str(&format!(":{len}"));
+            }
         }
-        if rng.random_range(0..5) == 0 {
-            out.push_str("[&c=1]");
+        match rng.random_range(0..10) {
+            0 | 1 => out.push_str("[&c=1]"),
+            2 => out.push_str(" [a [nested; 'comment'] ]\n"),
+            _ => {}
         }
     };
     enum Step {
@@ -361,6 +386,7 @@ proptest! {
         let mut scratch = BipartitionScratch::new();
         let got = batch_rows(&scratch.batch_newick(&text, &taxa).expect("streams"));
         prop_assert_eq!(got, want, "{}", text);
+        same_newick_outcome(&text, &taxa);
     }
 
     #[test]
@@ -395,22 +421,118 @@ proptest! {
     }
 }
 
-/// The streaming Newick driver accepts exactly what the parser accepts,
-/// with the same error, and on success yields the tree walk's splits of
-/// the parsed tree. (Corruption can repeat a taxon, which the oracle's
-/// seen-set handles differently; the drivers must still agree.)
+/// The parser (`parse_newick_readonly`) and the fused split extractor
+/// (`batch_newick`) both accept exactly what the independent reference
+/// parser accepts, with the same error; on success the parser builds the
+/// reference's tree (lengths included) and the extractor yields the tree
+/// walk's splits of it. (Corruption can repeat a taxon, which the
+/// oracle's seen-set handles differently; the two must still agree.)
 fn same_newick_outcome(s: &str, taxa: &TaxonSet) {
     let mut scratch = BipartitionScratch::new();
     let mut walk = BipartitionScratch::new();
-    match (
-        parse_newick_readonly(s, taxa),
-        scratch.batch_newick(s, taxa),
-    ) {
+    let reference = reference_newick::parse_readonly(s, taxa);
+    let parsed = parse_newick_readonly(s, taxa);
+    match (&reference, &parsed) {
+        (Ok(want), Ok(got)) => {
+            assert_eq!(write_newick(got, taxa), write_newick(want, taxa), "{s:?}")
+        }
+        (Err(want), Err(got)) => assert_eq!(got, want, "{s:?}"),
+        _ => panic!("{s:?}: reference {reference:?} vs parser {parsed:?}"),
+    }
+    match (reference, scratch.batch_newick(s, taxa)) {
         (Ok(tree), Ok(batch)) => {
             let want = batch_rows(&walk.batch_splits(&tree, taxa));
             assert_eq!(batch_rows(&batch), want, "{s:?}")
         }
-        (Err(a), Err(b)) => assert_eq!(a, b, "{s:?}"),
-        (a, b) => panic!("{s:?}: parser {a:?} vs driver {:?}", b.map(|b| b.len())),
+        (Err(a), Err(b)) => assert_eq!(b, a, "{s:?}"),
+        (a, b) => panic!(
+            "{s:?}: reference {a:?} vs extractor {:?}",
+            b.map(|b| b.len())
+        ),
+    }
+}
+
+fn abcd() -> TaxonSet {
+    let mut taxa = TaxonSet::new();
+    for l in ["A", "B", "C", "D", "it's"] {
+        taxa.intern(l);
+    }
+    taxa
+}
+
+#[test]
+fn malformed_corpus_errors_like_the_reference() {
+    let taxa = abcd();
+    for c in [
+        "((A,B);",
+        "(A,B));",
+        "(A,,B);",
+        "(A,B)",
+        "(A,B); junk",
+        "(A:x,B);",
+        "('A,B);",
+        "[(A,B);",
+        "(A B,C);",
+        ",A;",
+        "(A,B)(C,D);",
+        "();",
+    ] {
+        assert!(reference_newick::parse_readonly(c, &taxa).is_err(), "{c:?}");
+        same_newick_outcome(c, &taxa);
+    }
+}
+
+/// One input per error the parser can raise, with its exact offset and
+/// message. ("invalid UTF-8 in label" has no input: a bare token starts
+/// and ends next to ASCII bytes, so a `&str` slice of it is always
+/// valid.)
+#[test]
+fn every_error_site_has_its_reference_offset_and_message() {
+    let taxa = abcd();
+    let p = PhyloError::parse;
+    let goldens = [
+        ("(A,B)[x [y]", p(5, "unterminated comment")),
+        ("(A,B)", p(5, "unexpected end of input")),
+        ("(A: [c] ", p(8, "unexpected end of input")),
+        ("('A,B);", p(1, "unterminated quoted label")),
+        ("(A:'x,B);", p(3, "unterminated quoted label")),
+        ("(A:x,B);", p(3, "invalid branch length \"x\"")),
+        ("(A:1.5e,B);", p(3, "invalid branch length \"1.5e\"")),
+        ("(A,B); junk", p(7, "trailing content after ';'")),
+        ("(A(B,C));", p(2, "unexpected '(' after label")),
+        ("(A,B)(C,D);", p(5, "unexpected '(': node already closed")),
+        (",A;", p(0, "',' outside parentheses")),
+        ("(A,,B);", p(3, "leaf without a label")),
+        ("(A,B));", p(5, "unbalanced ')'")),
+        ("(A:1:2,B);", p(4, "duplicate branch length")),
+        ("((A,B):1,C):2:3;", p(13, "duplicate branch length")),
+        ("(A:,B);", p(2, "expected branch length after ':'")),
+        ("(A:'1',B);", p(2, "expected branch length after ':'")),
+        ("((A,B);", p(6, "unbalanced '(': tree ended early")),
+        ("(A B,C);", p(3, "unexpected second label \"B\"")),
+        ("(A 'it''s',C);", p(3, "unexpected second label \"it's\"")),
+        ("(A,X);", PhyloError::UnknownTaxon("X".into())),
+        (
+            "(A,'\u{e9}');",
+            PhyloError::UnknownTaxon("\u{c3}\u{a9}".into()),
+        ),
+    ];
+    for (input, want) in goldens {
+        assert_eq!(
+            reference_newick::parse_readonly(input, &taxa).err(),
+            Some(want.clone()),
+            "reference on {input:?}"
+        );
+        assert_eq!(
+            parse_newick_readonly(input, &taxa).err(),
+            Some(want.clone()),
+            "parser on {input:?}"
+        );
+        let mut scratch = BipartitionScratch::new();
+        assert_eq!(
+            scratch.batch_newick(input, &taxa).err(),
+            Some(want),
+            "extractor on {input:?}"
+        );
     }
 }

@@ -12,8 +12,7 @@
 
 use bfhrf::rf::bfhrf_streaming;
 use bfhrf::Bfh;
-use phylo::newick::NewickStream;
-use phylo::{BipartitionScratch, TaxaPolicy, TaxonSet};
+use phylo::{BipartitionScratch, IngestPolicy, NewickReader, TaxaPolicy, TaxonSet};
 use phylo_sim::datasets::{write_collection, DatasetSpec};
 use std::io::BufReader;
 use std::time::Instant;
@@ -40,7 +39,11 @@ fn main() {
     let mut taxa = TaxonSet::with_numbered("t", n_taxa);
     let t0 = Instant::now();
     let file = std::fs::File::open(&path).expect("open refs");
-    let mut stream = NewickStream::new(BufReader::new(file), TaxaPolicy::Require);
+    let mut stream = NewickReader::new(
+        BufReader::new(file),
+        TaxaPolicy::Require,
+        IngestPolicy::Strict,
+    );
     let mut bfh = Bfh::empty(n_taxa);
     let mut scratch = BipartitionScratch::new();
     while let Some(tree) = stream.next_tree(&mut taxa).expect("parse refs") {
