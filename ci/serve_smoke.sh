@@ -53,6 +53,10 @@ diff -u "$WORK/offline.tsv" "$WORK/served_bin.tsv"
 "$BIN" query --port-file "$WORK/port" --queries "$WORK/queries.phw" --batch 2 \
     --format bin >"$WORK/served_bin_file.tsv"
 diff -u "$WORK/offline.tsv" "$WORK/served_bin_file.tsv"
+"$BIN" best --refs "$WORK/refs.nwk" --queries "$WORK/queries.nwk" >"$WORK/offline_best.tsv"
+"$BIN" query --port-file "$WORK/port" --format bin --op best-query \
+    --queries "$WORK/queries.nwk" >"$WORK/served_best_bin.tsv"
+diff -u "$WORK/offline_best.tsv" "$WORK/served_best_bin.tsv"
 
 echo "== wire protocol v2: hello + pipelined batch; v1 dialect on the same socket"
 python3 - "$(cat "$WORK/port")" "$WORK/queries.nwk" <<'EOF'
@@ -236,6 +240,18 @@ echo "== clean shutdown"
 "$BIN" query --port-file "$WORK/port" --op shutdown
 wait "$SERVER_PID"
 SERVER_PID=""
+
+echo "== retries against the closed port: two backoffs, then exit 1"
+STATUS=0
+"$BIN" query --port-file "$WORK/port" --op ping --retries 2 --backoff-ms 10 \
+    2>"$WORK/retry.log" || STATUS=$?
+[ "$STATUS" -eq 1 ] || {
+    echo "serve smoke: closed-port ping exited $STATUS, expected 1" >&2
+    cat "$WORK/retry.log" >&2; exit 1; }
+RETRIES=$(grep -c 'retrying in' "$WORK/retry.log" || true)
+[ "$RETRIES" -eq 2 ] || {
+    echo "serve smoke: expected 2 'retrying in' lines, saw $RETRIES" >&2
+    cat "$WORK/retry.log" >&2; exit 1; }
 
 # ---------------------------------------------------------------------------
 # Multi-collection catalog: one daemon, many indexes, LRU-managed under a

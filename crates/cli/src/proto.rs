@@ -1,11 +1,14 @@
-//! The typed wire protocol shared by `bfhrf serve` and `bfhrf query`.
+//! The typed wire protocol shared by `bfhrf serve` and its clients
+//! (`bfhrf query`, `bfhrf stats`, `bfhrf catalog`).
 //!
 //! Version 2 of the daemon protocol. Frames are still one JSON document
 //! per line (NDJSON), so v1 clients keep working unchanged, but ops,
 //! payloads, error codes, and protocol versions are one typed surface —
 //! [`Request`], [`Response`], [`ErrorCode`], [`Outcome`] — instead of
 //! ad-hoc `req.get("op")` string pokes scattered through server and
-//! client.
+//! client. The bundled client speaks only v2: each session sends
+//! [`Envelope::v2`] frames, opens with `hello`, and reads every answer
+//! through [`Response::from_json`]; the server keeps answering v1 frames.
 //!
 //! # Versioning
 //!
@@ -110,6 +113,15 @@ impl ErrorCode {
             "budget" => ErrorCode::Budget,
             "busy" => ErrorCode::Busy,
             _ => ErrorCode::Error,
+        }
+    }
+
+    /// The process exit code a client reports for this failure:
+    /// [`crate::EXIT_BUDGET`] for `budget`, [`crate::EXIT_ERROR`] otherwise.
+    pub(crate) fn exit_code(self) -> u8 {
+        match self {
+            ErrorCode::Budget => crate::EXIT_BUDGET,
+            ErrorCode::Error | ErrorCode::Busy => crate::EXIT_ERROR,
         }
     }
 }
@@ -432,6 +444,20 @@ impl Request {
             Request::CatalogList => Op::CatalogList,
             Request::Taxa { .. } => Op::Taxa,
             Request::Shutdown => Op::Shutdown,
+        }
+    }
+
+    /// The tree payload, for ops that carry one — what a binary-encoding
+    /// client re-encodes in each connection's taxon namespace.
+    pub(crate) fn trees_mut(&mut self) -> Option<&mut Vec<String>> {
+        match self {
+            Request::AvgRf { queries, .. }
+            | Request::BestQuery { queries, .. }
+            | Request::Batch { queries, .. } => Some(queries),
+            Request::Add { trees, .. }
+            | Request::Remove { trees, .. }
+            | Request::CatalogCreate { trees, .. } => Some(trees),
+            _ => None,
         }
     }
 
@@ -1345,6 +1371,9 @@ mod tests {
         assert_eq!(Outcome::Budget.code(), ErrorCode::Budget);
         assert_eq!(Outcome::Error.code(), ErrorCode::Error);
         assert_eq!(Outcome::Busy.code(), ErrorCode::Busy);
+        assert_eq!(ErrorCode::Budget.exit_code(), 3);
+        assert_eq!(ErrorCode::Busy.exit_code(), 1);
+        assert_eq!(ErrorCode::Error.exit_code(), 1);
     }
 
     #[test]

@@ -79,7 +79,7 @@ use crate::proto::{
     self, CatalogRow, Envelope, ErrorCode, Op, Outcome, Request, Response, ScoreRow, StatsBody,
     WireEncoding, MAX_BATCH, PROTO_VERSION,
 };
-use crate::{CliError, EXIT_BUDGET, EXIT_ERROR};
+use crate::CliError;
 use bfhrf::guard::isolate;
 use bfhrf::{CoreError, QueryScore, RunBudget, RunGuard};
 use phylo::{parse_newick_readonly, BipartitionScratch, SplitBatch, TaxonSet, Tree};
@@ -1435,13 +1435,4 @@ fn op_catalog_list(state: &ServeState) -> Result<Response, ReqError> {
         })
         .collect();
     Ok(Response::Catalog { collections })
-}
-
-/// Map a protocol failure code to the process exit code clients use.
-pub fn protocol_code_to_exit(code: &str) -> u8 {
-    if code == "budget" {
-        EXIT_BUDGET
-    } else {
-        EXIT_ERROR
-    }
 }

@@ -1082,12 +1082,45 @@ fn busy_shed_is_typed_and_absorbed_by_retries() {
         "shed conn not closed"
     );
 
-    // A client without retries maps busy to exit 1.
+    // A client without retries maps busy to exit 1 — `stats` and
+    // `catalog` too, with the outcome tag.
     let err = runv(&["query", "--addr", &addr, "--op", "ping"]).unwrap_err();
     assert_eq!(err.code, 1, "{}", err.message);
     assert!(err.message.contains("busy"), "{}", err.message);
+    for argv in [
+        vec!["stats", "--addr", &addr],
+        vec!["catalog", "list", "--addr", &addr],
+    ] {
+        let err = runv(&argv).unwrap_err();
+        assert_eq!(err.code, 1, "{argv:?}: {}", err.message);
+        assert!(err.message.contains("[busy]"), "{argv:?}: {}", err.message);
+    }
 
-    // Free the slot shortly; a retrying client succeeds through the sheds.
+    // Free the slot shortly; retrying clients succeed through the sheds.
+    // The binary single-op session starts while the slot is still held,
+    // so its first attempt is shed too.
+    let queries_path = write(&dir, "queries.nwk", QUERIES);
+    let bin_client = {
+        let addr = addr.clone();
+        let queries_path = queries_path.clone();
+        std::thread::spawn(move || {
+            runv(&[
+                "query",
+                "--addr",
+                &addr,
+                "--format",
+                "bin",
+                "--op",
+                "best-query",
+                "--queries",
+                &queries_path,
+                "--retries",
+                "10",
+                "--backoff-ms",
+                "50",
+            ])
+        })
+    };
     let freer = std::thread::spawn(move || {
         std::thread::sleep(std::time::Duration::from_millis(300));
         drop(hog);
@@ -1106,6 +1139,26 @@ fn busy_shed_is_typed_and_absorbed_by_retries() {
     .unwrap();
     assert!(out.stdout.contains("generation\t0"), "{}", out.stdout);
     freer.join().unwrap();
+    let bin = bin_client
+        .join()
+        .unwrap()
+        .expect("retrying bin client failed");
+    let newick = runv(&[
+        "query",
+        "--addr",
+        &addr,
+        "--op",
+        "best-query",
+        "--queries",
+        &queries_path,
+        "--retries",
+        "10",
+        "--backoff-ms",
+        "50",
+    ])
+    .unwrap();
+    assert_eq!(bin.stdout, newick.stdout, "bin best-query diverged");
+    assert!(bin.stdout.starts_with("best_query\t"), "{}", bin.stdout);
 
     // The single slot may still be draining the previous client's
     // connection, so raw requests here can themselves get shed; retry
@@ -1137,6 +1190,46 @@ fn busy_shed_is_typed_and_absorbed_by_retries() {
     assert!(sheds >= 2, "busy sheds = {sheds}");
     retry_ok(r#"{"op":"shutdown"}"#);
     handle.join().unwrap();
+}
+
+/// An answer that does not parse as the requested op's response — missing
+/// members, or a member of the wrong type — is a `malformed response`
+/// (exit 1), never a table of zeros.
+#[test]
+fn answers_with_missing_or_mistyped_members_are_malformed() {
+    let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap().to_string();
+    // A fake daemon: a correct hello answer, then a broken one for the op.
+    let fake = std::thread::spawn(move || {
+        for _ in 0..2 {
+            let (stream, _) = listener.accept().unwrap();
+            let mut reader = BufReader::new(stream.try_clone().unwrap());
+            let mut stream = stream;
+            let mut line = String::new();
+            while reader.read_line(&mut line).unwrap() > 0 {
+                let request = json::parse(line.trim()).unwrap();
+                let answer = match request.get("op").and_then(json::Json::as_str) {
+                    Some("hello") => r#"{"ok":true,"v":2,"max_batch":16}"#,
+                    Some("stats") => r#"{"ok":true,"generation":3}"#,
+                    _ => {
+                        r#"{"ok":true,"pong":true,"generation":"3","wal_pending":0,"uptime_ms":1}"#
+                    }
+                };
+                writeln!(stream, "{answer}").unwrap();
+                line.clear();
+            }
+        }
+    });
+    for op in ["stats", "ping"] {
+        let err = runv(&["query", "--addr", &addr, "--op", op]).unwrap_err();
+        assert_eq!(err.code, 1, "{op}: {}", err.message);
+        assert!(
+            err.message.contains("malformed response"),
+            "{op}: {}",
+            err.message
+        );
+    }
+    fake.join().unwrap();
 }
 
 /// Shutdown drains gracefully: a pipelined connection with frames already
