@@ -155,7 +155,7 @@ fn main() {
     // `frozen.bfh` and probes it in place; side B is the classic open —
     // snapshot read, every split rebuilt into the live hash. Both sides
     // answer one avgrf query so "open" means time-to-first-answer, and
-    // both answers are asserted equal to the live hash's before timing.
+    // both answers are asserted equal to a fresh freeze of the built hash.
     eprintln!("[index_bench] frozen open: generating insect preset (n=144, r={frozen_trees}) ...");
     let fspec = DatasetSpec::insect().with_trees(frozen_trees);
     let fds = bfhrf_bench::datasets::prepare(&fspec);
@@ -164,7 +164,10 @@ fn main() {
     eprintln!("[index_bench] frozen open: building + persisting the index ...");
     let fbfh = bfhrf::Bfh::build_sharded(&fcoll.trees, &fcoll.taxa, 8);
     let fquery = fcoll.trees[0].clone();
-    let expected = bfhrf::bfhrf_average(&fquery, &fcoll.taxa, &fbfh);
+    let mut scratch = phylo::BipartitionScratch::new();
+    let expected = fbfh
+        .freeze()
+        .average_scratch(&fquery, &fcoll.taxa, &mut scratch);
     let frozen_dir = dir.join("frozen");
     drop(Index::create(&frozen_dir, fbfh, fcoll.taxa.clone()).expect("frozen-open create"));
     let snap_bytes = std::fs::metadata(frozen_dir.join(phylo_index::SNAPSHOT_FILE))
@@ -173,7 +176,6 @@ fn main() {
     let sidecar_bytes = std::fs::metadata(frozen_dir.join(phylo_index::FROZEN_FILE))
         .expect("sidecar metadata")
         .len();
-    let mut scratch = phylo::BipartitionScratch::new();
     let mut mmap_opens = Vec::with_capacity(repeats);
     let mut full_opens = Vec::with_capacity(repeats);
     let mut mapped = false;
@@ -182,7 +184,7 @@ fn main() {
         let fo = Index::open_frozen(&frozen_dir).expect("frozen open");
         let ans = fo.frozen.average_scratch(&fquery, &fo.taxa, &mut scratch);
         let mmap_s = t.elapsed().as_secs_f64();
-        assert_eq!(ans, expected, "frozen-open answer diverged from live");
+        assert_eq!(ans, expected, "frozen-open answer diverged from freeze");
         mapped = fo.mapped;
         drop(fo);
 
@@ -191,7 +193,7 @@ fn main() {
         let frozen = idx.frozen();
         let ans = frozen.average_scratch(&fquery, &fcoll.taxa, &mut scratch);
         let full_s = t.elapsed().as_secs_f64();
-        assert_eq!(ans, expected, "full-open answer diverged from live");
+        assert_eq!(ans, expected, "full-open answer diverged from freeze");
         drop(frozen);
         drop(idx);
 

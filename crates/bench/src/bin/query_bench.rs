@@ -10,7 +10,7 @@
 //! 1. **Single-thread probe path**: the headline. Query splits are
 //!    extracted and hashed once up front (both paths share that cost in
 //!    production), then the pure probe kernels race over the same
-//!    batches: the hashbrown map probe (`split_frequency_words` per
+//!    batches: the hashbrown map probe (`Bfh::frequency_words` per
 //!    split) vs the frozen pipelined kernel
 //!    (`FrozenBfh::frequency_sum_batch`). Target: ≥ 1.5× (measured
 //!    ~2×). Reported as median seconds with CV and probes/second.
@@ -24,8 +24,8 @@
 //!    same protocol the obs section uses. The cell also records the
 //!    payload sizes of both encodings.
 //! 3. **End-to-end**: full single-thread query scoring — extraction +
-//!    hashing + probing + Algorithm 2 — live (`bfhrf_average_scratch`
-//!    over `Bfh`) vs frozen (`FrozenBfh::average_scratch`). Extraction
+//!    hashing + probing + Algorithm 2 — live ([`live_scores`] over
+//!    `Bfh`) vs frozen (`FrozenBfh::average_scratch`). Extraction
 //!    dominates here (~70% of a query at n = 144), so this speedup is
 //!    the diluted, whole-pipeline view of the same kernel win.
 //! 4. **Multi-thread**: the same batch through the parallel comparators.
@@ -51,14 +51,50 @@
 //! timing is reported — a throughput win can never hide a correctness
 //! loss.
 
-use bfhrf::{BfhrfComparator, Comparator, FrozenComparator};
+use bfhrf::{Bfh, Comparator, FrozenComparator, RfAverage};
 use bfhrf_bench::measure::measured_repeats;
-use phylo::BipartitionScratch;
+use phylo::{BipartitionScratch, TaxonSet, Tree};
 use phylo_obs::json::Json;
 use phylo_sim::DatasetSpec;
+use rayon::prelude::*;
 use std::io::{BufRead, BufReader, Write as _};
 use std::net::TcpStream;
 use std::time::Instant;
+
+/// Algorithm 2 over the live hashbrown map: `for_each_split` +
+/// [`bfhrf::Bfh::frequency_words`] per query, chunked over rayon when
+/// `parallel`. The library scores only through the frozen table; this
+/// helper exists only as the baseline the `live_*` cells time.
+fn live_scores(bfh: &Bfh, taxa: &TaxonSet, queries: &[Tree], parallel: bool) -> Vec<RfAverage> {
+    let workers = if parallel {
+        rayon::current_num_threads()
+    } else {
+        1
+    };
+    let chunk = queries.len().div_ceil(workers).max(1);
+    let chunks: Vec<Vec<RfAverage>> = queries
+        .par_chunks(chunk)
+        .map(|qs| {
+            let mut scratch = BipartitionScratch::new();
+            qs.iter()
+                .map(|tree| {
+                    let (mut hits, mut splits) = (0u64, 0u64);
+                    scratch.for_each_split(tree, taxa, |w| {
+                        hits += u64::from(bfh.frequency_words(w));
+                        splits += 1;
+                    });
+                    let r = bfh.n_trees();
+                    RfAverage {
+                        left: bfh.sum() - hits,
+                        right: splits * r as u64 - hits,
+                        n_refs: r,
+                    }
+                })
+                .collect()
+        })
+        .collect();
+    chunks.concat()
+}
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -121,9 +157,9 @@ fn main() {
     // query before any throughput number is written down.
     {
         let mut scratch = BipartitionScratch::new();
-        for tree in &q {
+        for (tree, live) in q.iter().zip(live_scores(&bfh, &coll.taxa, &q, false)) {
             assert_eq!(
-                bfhrf::bfhrf_average(tree, &coll.taxa, &bfh),
+                live,
                 frozen.average_scratch(tree, &coll.taxa, &mut scratch),
                 "frozen diverged from live"
             );
@@ -134,7 +170,6 @@ fn main() {
     // Extract + hash every query's splits once, as production batched
     // scoring does, then race the two probe kernels over identical input.
     eprintln!("[query_bench] probe path: hashbrown vs frozen kernel ...");
-    use bfhrf::SplitFrequency;
     let batches: Vec<(usize, Vec<u64>, Vec<u128>)> = {
         let mut scratch = BipartitionScratch::new();
         q.iter()
@@ -155,7 +190,7 @@ fn main() {
         for (words, masks, hashes) in &batches {
             for i in 0..hashes.len() {
                 let w = &masks[i * words..(i + 1) * words];
-                live_sum += u64::from(bfh.split_frequency_words(coll.taxa.len(), w));
+                live_sum += u64::from(bfh.frequency_words(w));
             }
             let batch = phylo::SplitBatch::from_parts(*words, masks, hashes);
             frozen_sum += frozen.frequency_sum_batch(&batch);
@@ -167,7 +202,7 @@ fn main() {
         for (words, masks, hashes) in &batches {
             for i in 0..hashes.len() {
                 let w = &masks[i * words..(i + 1) * words];
-                acc += u64::from(bfh.split_frequency_words(coll.taxa.len(), w));
+                acc += u64::from(bfh.frequency_words(w));
             }
         }
         acc
@@ -303,13 +338,9 @@ fn main() {
     // -------- end-to-end single-thread query scoring -------------------
     eprintln!("[query_bench] end-to-end: live vs frozen ...");
     let live_st = measured_repeats(1, repeats, || {
-        let mut scratch = BipartitionScratch::new();
-        let mut acc = 0u64;
-        for tree in &q {
-            let rf = bfhrf::rf::bfhrf_average_scratch(tree, &coll.taxa, &bfh, &mut scratch);
-            acc = acc.wrapping_add(rf.left + rf.right);
-        }
-        acc
+        live_scores(&bfh, &coll.taxa, &q, false)
+            .iter()
+            .fold(0u64, |acc, rf| acc.wrapping_add(rf.left + rf.right))
     });
     let frozen_st = measured_repeats(1, repeats, || {
         let mut scratch = BipartitionScratch::new();
@@ -334,14 +365,19 @@ fn main() {
     // a kernel regression — the cell says so.
     let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
     eprintln!("[query_bench] multi-thread comparators ({cores} core(s)) ...");
-    let live_cmp = BfhrfComparator::new(&bfh, &coll.taxa).parallel(true);
     let frozen_cmp = FrozenComparator::new(&frozen, &coll.taxa).parallel(true);
+    let frozen_rfs: Vec<RfAverage> = frozen_cmp
+        .average_all(&q)
+        .expect("frozen batch")
+        .iter()
+        .map(|s| s.rf)
+        .collect();
     assert_eq!(
-        live_cmp.average_all(&q).expect("live batch"),
-        frozen_cmp.average_all(&q).expect("frozen batch"),
+        live_scores(&bfh, &coll.taxa, &q, true),
+        frozen_rfs,
         "parallel frozen diverged from live"
     );
-    let live_mt = measured_repeats(1, repeats, || live_cmp.average_all(&q).expect("live batch"));
+    let live_mt = measured_repeats(1, repeats, || live_scores(&bfh, &coll.taxa, &q, true));
     let frozen_mt = measured_repeats(1, repeats, || {
         frozen_cmp.average_all(&q).expect("frozen batch")
     });
@@ -501,7 +537,7 @@ fn main() {
             let mut scratch_taxa = coll.taxa.clone();
             let tree = phylo::parse_newick(&newick0, &mut scratch_taxa, phylo::TaxaPolicy::Require)
                 .expect("query parses");
-            let rf = bfhrf::bfhrf_average(&tree, &coll.taxa, &bfh);
+            let rf = live_scores(&bfh, &coll.taxa, std::slice::from_ref(&tree), false)[0];
             acc = acc.wrapping_add(rf.left + rf.right);
         }
         acc

@@ -9,7 +9,7 @@
 use crate::datasets::{prefix, prepare, PreparedDataset};
 use crate::measure::{measured, measured_repeats, Measurement, RepeatStats};
 use crate::stats;
-use bfhrf::{bfhrf_average, Bfh, HashRf, HashRfConfig};
+use bfhrf::{Bfh, Comparator, FrozenBfh, FrozenComparator, HashRf, HashRfConfig, RfAverage};
 use phylo::{
     BipartitionSet, IngestPolicy, NewickReader, TaxaPolicy, TaxonSet, Tree, TreeCollection,
 };
@@ -184,10 +184,11 @@ fn combine(
     }
 }
 
-/// BFHRF: stream references into the hash, stream queries against it.
-/// `threads = None` is the fully sequential variant; `Some(k)` processes
-/// parsed chunks on a `k`-thread pool (the paper's tree-level
-/// parallelism).
+/// BFHRF: stream references into the hash, freeze it, stream queries
+/// against the frozen table. `threads = None` is the fully sequential
+/// variant; `Some(k)` processes parsed chunks on a `k`-thread pool (the
+/// paper's tree-level parallelism). Scoring makes the same calls as
+/// `bfhrf avgrf`.
 fn run_bfhrf(ds: &PreparedDataset, threads: Option<usize>) -> Outcome {
     let body = || {
         let mut taxa = numbered_taxa(ds.n_taxa);
@@ -223,7 +224,10 @@ fn run_bfhrf(ds: &PreparedDataset, threads: Option<usize>) -> Outcome {
                     }
                 }
             }
-            // Phase 2: stream queries against the hash.
+            // Phase 2: freeze, drop the live map, and stream queries against
+            // the frozen table. Both tables are resident during the freeze.
+            let frozen = bfh.freeze();
+            drop(bfh);
             let mut stream = strict_reader(&ds.newick);
             let mut total_avg = 0.0f64;
             let mut q_count = 0usize;
@@ -238,16 +242,10 @@ fn run_bfhrf(ds: &PreparedDataset, threads: Option<usize>) -> Outcome {
                 if chunk.is_empty() {
                     break;
                 }
-                total_avg += match threads {
-                    None => chunk
-                        .iter()
-                        .map(|q| bfhrf_average(q, &taxa, &bfh).average())
-                        .sum::<f64>(),
-                    Some(_) => chunk
-                        .par_iter()
-                        .map(|q| bfhrf_average(q, &taxa, &bfh).average())
-                        .sum::<f64>(),
-                };
+                total_avg += frozen_scores(&frozen, &taxa, &chunk, threads.is_some())
+                    .iter()
+                    .map(RfAverage::average)
+                    .sum::<f64>();
                 q_count += chunk.len();
             }
             total_avg / q_count as f64
@@ -541,17 +539,18 @@ impl Experiment {
             );
         }
 
-        // 2. thread scaling of the query phase
-        let bfh = Bfh::build(&coll.trees, &coll.taxa);
+        // 2. thread scaling of the query phase on the frozen table
+        let frozen = Bfh::build(&coll.trees, &coll.taxa).freeze();
+        let score = |parallel| frozen_scores(&frozen, &coll.taxa, &coll.trees, parallel);
+        let sequential = score(false);
         for threads in [1usize, 2, 4, 8, 16] {
-            let (_, m) = pool(threads).install(|| {
-                measured(|| {
-                    coll.trees
-                        .par_iter()
-                        .map(|q| bfhrf_average(q, &coll.taxa, &bfh).average())
-                        .sum::<f64>()
-                })
-            });
+            let p = pool(threads);
+            assert_eq!(
+                p.install(|| score(true)),
+                sequential,
+                "{threads}-thread scoring must answer like the sequential pass"
+            );
+            let (_, m) = p.install(|| measured(|| score(true)));
             let _ = writeln!(
                 out,
                 "query phase, {threads:>2} threads: {:.3}s",
@@ -609,14 +608,9 @@ impl Experiment {
             compact_m.memory_mb(),
             compact.key_bytes() as f64 / 1e6,
         );
-        let plain_queries = || -> Vec<_> {
-            let taxa = &wide_coll.taxa;
-            wide_coll
-                .trees
-                .iter()
-                .map(|q| bfhrf_average(q, taxa, &plain))
-                .collect()
-        };
+        let plain_frozen = plain.freeze();
+        let plain_queries =
+            || frozen_scores(&plain_frozen, &wide_coll.taxa, &wide_coll.trees, false);
         let compact_queries = || -> Vec<_> {
             let taxa = &wide_coll.taxa;
             wide_coll
@@ -635,7 +629,7 @@ impl Experiment {
         let compact_t = measured_repeats(1, ROW_REPEATS, compact_queries);
         let _ = writeln!(
             out,
-            "compact hash (n=500, r=200): compact keys {} vs plain {} per query",
+            "compact hash (n=500, r=200): compact keys {} vs frozen plain {} per query",
             per_item_us(&compact_t, q),
             per_item_us(&plain_t, q),
         );
@@ -652,16 +646,12 @@ impl Experiment {
             .iter()
             .map(|t| hasher.signature(t, &pgm_coll.taxa))
             .collect();
-        let pgm_bfh = Bfh::build(&pgm_coll.trees, &pgm_coll.taxa);
+        let pgm_frozen = Bfh::build(&pgm_coll.trees, &pgm_coll.taxa).freeze();
         let pgm_queries =
             || -> Vec<f64> { sigs.iter().map(|q| hasher.average_rf(q, &sigs)).collect() };
         let bfhrf_queries = || -> Vec<f64> {
-            let taxa = &pgm_coll.taxa;
-            pgm_coll
-                .trees
-                .iter()
-                .map(|q| bfhrf_average(q, taxa, &pgm_bfh).average())
-                .collect()
+            let scores = frozen_scores(&pgm_frozen, &pgm_coll.taxa, &pgm_coll.trees, false);
+            scores.iter().map(RfAverage::average).collect()
         };
         assert_eq!(
             pgm_queries(),
@@ -679,12 +669,7 @@ impl Experiment {
         );
 
         // 7. bipartition-size filter overhead
-        let (_, unfiltered) = measured(|| {
-            coll.trees
-                .iter()
-                .map(|q| bfhrf_average(q, &coll.taxa, &bfh).average())
-                .sum::<f64>()
-        });
+        let (_, unfiltered) = measured(|| score(false));
         let filt = bfhrf::variants::SizeFilteredRf::new(&coll.trees, &coll.taxa, 2, 10);
         let (_, filtered) = measured(|| {
             coll.trees
@@ -795,6 +780,21 @@ fn set_pairs(coll: &TreeCollection) -> u64 {
         let a = BipartitionSet::from_tree(a, &coll.taxa);
         a.rf_distance(&BipartitionSet::from_tree(b, &coll.taxa))
     })
+}
+
+/// Score `queries` on the frozen table — the calls `bfhrf avgrf` makes —
+/// and keep the per-query results, in query order.
+fn frozen_scores(
+    frozen: &FrozenBfh,
+    taxa: &TaxonSet,
+    queries: &[Tree],
+    parallel: bool,
+) -> Vec<RfAverage> {
+    let cmp = FrozenComparator::new(frozen, taxa).parallel(parallel);
+    let scores = cmp
+        .average_all(queries)
+        .expect("nonempty inputs over one namespace");
+    scores.into_iter().map(|s| s.rf).collect()
 }
 
 /// Repeats per side of a timed ablation row: one warmup, then the median

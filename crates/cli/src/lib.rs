@@ -466,8 +466,8 @@ fn cmd_avgrf(raw: &[String]) -> Result<CmdOutcome, CliError> {
                     .map_err(core_fail)?;
                 prof.phase("freeze+query");
                 // Query through the frozen probe-optimized table; freezing
-                // is one pass over the hash just built.
-                FrozenComparator::from_owned(bfh.freeze(), &refs.taxa)
+                // is one pass over the hash just built, under --mem-budget.
+                FrozenComparator::from_owned(bfh.try_freeze(&guard).map_err(core_fail)?, &refs.taxa)
                     .parallel(algorithm == "bfhrf")
                     .average_all_guarded(&queries, &guard)
                     .map_err(core_fail)

@@ -1,8 +1,9 @@
 //! Compressed-key frequency hash — the paper's §IX memory extension.
 //!
 //! [`CompactBfh`] is behaviourally identical to [`Bfh`] (it answers the
-//! same `frequency`/`sum`/`n_trees` queries, so [`crate::bfhrf_average`]
-//! arithmetic can run against either) but stores keys through the
+//! same `frequency`/`sum`/`n_trees` queries, and
+//! [`CompactBfh::average_rf`] runs Algorithm 2 over them with answers
+//! equal to [`crate::FrozenComparator`]'s) but stores keys through the
 //! lossless codec in [`phylo_bitset::compress`]. Real collections are
 //! dominated by small clades, whose sparse encodings are a few bytes
 //! instead of `n/8` — on wide namespaces this cuts key memory several
@@ -154,7 +155,7 @@ impl CompactBfh {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rf::bfhrf_average;
+    use crate::{Comparator, FrozenComparator};
     use phylo::TreeCollection;
 
     fn coll(text: &str) -> TreeCollection {
@@ -172,11 +173,10 @@ mod tests {
             assert_eq!(compact.frequency(bits), count);
             assert_eq!(compact.frequency_words(bits.len(), bits.words()), count);
         }
+        let frozen = plain.freeze();
+        let exact = FrozenComparator::new(&frozen, &c.taxa);
         for q in &c.trees {
-            assert_eq!(
-                bfhrf_average(q, &c.taxa, &plain),
-                compact.average_rf(q, &c.taxa)
-            );
+            assert_eq!(exact.average(q).unwrap(), compact.average_rf(q, &c.taxa));
         }
     }
 
@@ -223,11 +223,10 @@ mod tests {
             raw_key_bytes
         );
         // and it still answers identically
+        let frozen = plain.freeze();
+        let exact = FrozenComparator::new(&frozen, &c.taxa);
         for q in c.trees.iter().take(5) {
-            assert_eq!(
-                bfhrf_average(q, &c.taxa, &plain),
-                compact.average_rf(q, &c.taxa)
-            );
+            assert_eq!(exact.average(q).unwrap(), compact.average_rf(q, &c.taxa));
         }
     }
 

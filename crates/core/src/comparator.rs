@@ -8,22 +8,23 @@
 //! the trait and never mention a concrete algorithm again.
 //!
 //! ```
-//! use bfhrf::{Bfh, BfhrfComparator, Comparator};
+//! use bfhrf::{Bfh, Comparator, FrozenComparator};
 //! use phylo::TreeCollection;
 //!
 //! let refs = TreeCollection::parse(
 //!     "((A,B),(C,D));\n((A,B),(C,D));\n((A,C),(B,D));").unwrap();
-//! let bfh = Bfh::build(&refs.trees, &refs.taxa);
-//! let cmp = BfhrfComparator::new(&bfh, &refs.taxa);
+//! let frozen = Bfh::build(&refs.trees, &refs.taxa).freeze();
+//! let cmp = FrozenComparator::new(&frozen, &refs.taxa);
 //! let avg = cmp.average(&refs.trees[0]).unwrap();
 //! assert!((avg.average() - 2.0 / 3.0).abs() < 1e-12);
 //! ```
 
 use crate::bfh::Bfh;
 use crate::error::CoreError;
+use crate::frozen::FrozenBfh;
 use crate::guard::{isolate, RunGuard};
 use crate::hashrf::{HashRf, HashRfConfig};
-use crate::rf::{bfhrf_average_scratch, QueryScore, RfAverage};
+use crate::rf::{QueryScore, RfAverage};
 use phylo::{BipartitionScratch, BipartitionSet, NodeId, TaxonSet, Tree};
 use phylo_bitset::Bits;
 use rayon::prelude::*;
@@ -92,131 +93,32 @@ fn check_tree_taxa(tree: &Tree, taxa: &TaxonSet) -> Result<(), CoreError> {
     }
 }
 
-/// BFHRF (Algorithm 2): one tree-vs-hash comparison per query.
-#[derive(Debug, Clone)]
-pub struct BfhrfComparator<'a> {
-    bfh: Cow<'a, Bfh>,
-    taxa: &'a TaxonSet,
-    parallel: bool,
+/// The typed refusals every batched engine shares: an empty reference
+/// collection, an empty query batch, a query outside the namespace.
+fn check_batch(n_refs: usize, queries: &[Tree], taxa: &TaxonSet) -> Result<(), CoreError> {
+    if n_refs == 0 {
+        return Err(CoreError::EmptyReference);
+    }
+    if queries.is_empty() {
+        return Err(CoreError::EmptyQuery);
+    }
+    queries.iter().try_for_each(|q| check_tree_taxa(q, taxa))
 }
 
-impl<'a> BfhrfComparator<'a> {
-    /// Compare against an already-built frequency hash.
-    pub fn new(bfh: &'a Bfh, taxa: &'a TaxonSet) -> Self {
-        BfhrfComparator {
-            bfh: Cow::Borrowed(bfh),
-            taxa,
-            parallel: false,
-        }
-    }
-
-    /// Compare against a hash the comparator owns — what degradation paths
-    /// use when they build the fallback hash themselves and have nowhere
-    /// to park a borrow.
-    pub fn from_owned(bfh: Bfh, taxa: &'a TaxonSet) -> Self {
-        BfhrfComparator {
-            bfh: Cow::Owned(bfh),
-            taxa,
-            parallel: false,
-        }
-    }
-
-    /// Parallelize [`Comparator::average_all`] over query chunks.
-    pub fn parallel(mut self, yes: bool) -> Self {
-        self.parallel = yes;
-        self
-    }
-}
-
-impl Comparator for BfhrfComparator<'_> {
-    fn name(&self) -> &'static str {
-        "bfhrf"
-    }
-
-    fn average(&self, query: &Tree) -> Result<RfAverage, CoreError> {
-        if self.bfh.n_trees() == 0 {
-            return Err(CoreError::EmptyReference);
-        }
-        check_tree_taxa(query, self.taxa)?;
-        let mut scratch = BipartitionScratch::new();
-        Ok(bfhrf_average_scratch(
-            query,
-            self.taxa,
-            &*self.bfh,
-            &mut scratch,
-        ))
-    }
-
-    fn average_all_guarded(
-        &self,
-        queries: &[Tree],
-        guard: &RunGuard,
-    ) -> Result<Vec<QueryScore>, CoreError> {
-        if self.bfh.n_trees() == 0 {
-            return Err(CoreError::EmptyReference);
-        }
-        if queries.is_empty() {
-            return Err(CoreError::EmptyQuery);
-        }
-        for q in queries {
-            check_tree_taxa(q, self.taxa)?;
-        }
-        if !self.parallel {
-            let mut scratch = BipartitionScratch::new();
-            return queries
-                .iter()
-                .enumerate()
-                .map(|(index, q)| {
-                    guard.checkpoint("bfhrf average_all")?;
-                    Ok(QueryScore {
-                        index,
-                        rf: bfhrf_average_scratch(q, self.taxa, &*self.bfh, &mut scratch),
-                    })
-                })
-                .collect();
-        }
-        // Chunked so each worker reuses one extraction arena; each worker
-        // body is panic-isolated and polls the guard per query.
-        let chunk = queries.len().div_ceil(rayon::current_num_threads()).max(1);
-        let chunks: Vec<Vec<QueryScore>> = queries
-            .par_chunks(chunk)
-            .enumerate()
-            .map(|(ci, qs)| {
-                isolate("bfhrf query worker", || {
-                    let mut scratch = BipartitionScratch::new();
-                    qs.iter()
-                        .enumerate()
-                        .map(|(i, q)| {
-                            guard.checkpoint("bfhrf average_all")?;
-                            guard.panic_if_injected(ci * chunk + i);
-                            Ok(QueryScore {
-                                index: ci * chunk + i,
-                                rf: bfhrf_average_scratch(q, self.taxa, &*self.bfh, &mut scratch),
-                            })
-                        })
-                        .collect::<Result<Vec<_>, CoreError>>()
-                })
-            })
-            .collect::<Result<_, CoreError>>()?;
-        Ok(chunks.into_iter().flatten().collect())
-    }
-}
-
-/// BFHRF over a [`FrozenBfh`](crate::FrozenBfh): the same Algorithm 2
-/// arithmetic, probing the frozen struct-of-arrays table through the
-/// batched split-hashing path. Answers are bitwise-identical to
-/// [`BfhrfComparator`] over the source hash; `name()` stays `"bfhrf"` so
-/// reports don't fork on an internal layout choice.
+/// BFHRF (Algorithm 2): one tree-vs-hash comparison per query, probing a
+/// [`FrozenBfh`] through the batched split-hashing path. This is the one
+/// scoring engine: the live [`Bfh`] builds and mutates, then freezes into
+/// the table this comparator reads.
 #[derive(Debug, Clone)]
 pub struct FrozenComparator<'a> {
-    frozen: Cow<'a, crate::FrozenBfh>,
+    frozen: Cow<'a, FrozenBfh>,
     taxa: &'a TaxonSet,
     parallel: bool,
 }
 
 impl<'a> FrozenComparator<'a> {
     /// Compare against an already-frozen hash.
-    pub fn new(frozen: &'a crate::FrozenBfh, taxa: &'a TaxonSet) -> Self {
+    pub fn new(frozen: &'a FrozenBfh, taxa: &'a TaxonSet) -> Self {
         FrozenComparator {
             frozen: Cow::Borrowed(frozen),
             taxa,
@@ -225,7 +127,7 @@ impl<'a> FrozenComparator<'a> {
     }
 
     /// Compare against a frozen hash the comparator owns.
-    pub fn from_owned(frozen: crate::FrozenBfh, taxa: &'a TaxonSet) -> Self {
+    pub fn from_owned(frozen: FrozenBfh, taxa: &'a TaxonSet) -> Self {
         FrozenComparator {
             frozen: Cow::Owned(frozen),
             taxa,
@@ -240,7 +142,7 @@ impl<'a> FrozenComparator<'a> {
     }
 
     /// The frozen table being probed.
-    pub fn frozen(&self) -> &crate::FrozenBfh {
+    pub fn frozen(&self) -> &FrozenBfh {
         &self.frozen
     }
 
@@ -255,15 +157,7 @@ impl<'a> FrozenComparator<'a> {
         guard: &RunGuard,
         scratch: &mut BipartitionScratch,
     ) -> Result<Vec<QueryScore>, CoreError> {
-        if self.frozen.n_trees() == 0 {
-            return Err(CoreError::EmptyReference);
-        }
-        if queries.is_empty() {
-            return Err(CoreError::EmptyQuery);
-        }
-        for q in queries {
-            check_tree_taxa(q, self.taxa)?;
-        }
+        check_batch(self.frozen.n_trees(), queries, self.taxa)?;
         queries
             .iter()
             .enumerate()
@@ -297,31 +191,16 @@ impl Comparator for FrozenComparator<'_> {
         queries: &[Tree],
         guard: &RunGuard,
     ) -> Result<Vec<QueryScore>, CoreError> {
-        if self.frozen.n_trees() == 0 {
-            return Err(CoreError::EmptyReference);
-        }
-        if queries.is_empty() {
-            return Err(CoreError::EmptyQuery);
-        }
-        for q in queries {
-            check_tree_taxa(q, self.taxa)?;
-        }
         if !self.parallel {
-            let mut scratch = BipartitionScratch::new();
-            return queries
-                .iter()
-                .enumerate()
-                .map(|(index, q)| {
-                    guard.checkpoint("bfhrf average_all")?;
-                    Ok(QueryScore {
-                        index,
-                        rf: self.frozen.average_scratch(q, self.taxa, &mut scratch),
-                    })
-                })
-                .collect();
+            return self.average_all_scratch_guarded(
+                queries,
+                guard,
+                &mut BipartitionScratch::new(),
+            );
         }
-        // Mirrors the live parallel path: chunked for scratch reuse,
-        // panic-isolated, guard polled per query.
+        check_batch(self.frozen.n_trees(), queries, self.taxa)?;
+        // Chunked so each worker reuses one extraction arena; each worker
+        // body is panic-isolated and polls the guard per query.
         let chunk = queries.len().div_ceil(rayon::current_num_threads()).max(1);
         let chunks: Vec<Vec<QueryScore>> = queries
             .par_chunks(chunk)
@@ -418,15 +297,7 @@ impl Comparator for SetComparator<'_> {
         queries: &[Tree],
         guard: &RunGuard,
     ) -> Result<Vec<QueryScore>, CoreError> {
-        if self.ref_sets.is_empty() {
-            return Err(CoreError::EmptyReference);
-        }
-        if queries.is_empty() {
-            return Err(CoreError::EmptyQuery);
-        }
-        for q in queries {
-            check_tree_taxa(q, self.taxa)?;
-        }
+        check_batch(self.ref_sets.len(), queries, self.taxa)?;
         if !self.parallel {
             return queries
                 .iter()
@@ -570,8 +441,8 @@ impl Comparator for DayComparator<'_> {
 }
 
 /// Construct a HashRF comparator — or, when its estimated allocation
-/// exceeds the guard's byte budget, degrade to an owned-hash BFHRF
-/// comparator and record the [`Degradation`](crate::guard::Degradation)
+/// exceeds the guard's byte budget, degrade to a BFHRF comparator over an
+/// owned frozen table and record the [`Degradation`](crate::guard::Degradation)
 /// on the guard instead of letting the kernel OOM-kill the run (the fate
 /// of the paper's r = 100k HashRF experiments).
 ///
@@ -602,8 +473,8 @@ pub fn hashrf_or_degrade<'a>(
                 .map_or_else(|| "unlimited".into(), |b| b.to_string()),
         ),
     );
-    let bfh = Bfh::try_build_sharded(refs, taxa, 1, guard)?;
-    Ok(Box::new(BfhrfComparator::from_owned(bfh, taxa)))
+    let frozen = Bfh::try_build_sharded(refs, taxa, 1, guard)?.try_freeze(guard)?;
+    Ok(Box::new(FrozenComparator::from_owned(frozen, taxa)))
 }
 
 #[cfg(test)]
@@ -628,29 +499,26 @@ mod tests {
     #[test]
     fn all_exact_comparators_agree_field_by_field() {
         let (refs, queries) = setup();
-        let bfh = Bfh::build(&refs.trees, &refs.taxa);
-        let frozen = bfh.freeze();
+        let frozen = Bfh::build(&refs.trees, &refs.taxa).freeze();
         let engines: Vec<Box<dyn Comparator>> = vec![
-            Box::new(BfhrfComparator::new(&bfh, &refs.taxa)),
-            Box::new(BfhrfComparator::new(&bfh, &refs.taxa).parallel(true)),
+            Box::new(DayComparator::new(&refs.trees, &refs.taxa)),
             Box::new(FrozenComparator::new(&frozen, &refs.taxa)),
             Box::new(FrozenComparator::new(&frozen, &refs.taxa).parallel(true)),
             Box::new(SetComparator::new(&refs.trees, &refs.taxa)),
             Box::new(SetComparator::new(&refs.trees, &refs.taxa).parallel(true)),
-            Box::new(DayComparator::new(&refs.trees, &refs.taxa)),
         ];
         let baseline = engines[0].average_all(&queries).unwrap();
-        for engine in &engines[1..] {
+        for engine in &engines {
             assert_eq!(
                 engine.average_all(&queries).unwrap(),
                 baseline,
-                "{} disagrees with bfhrf",
+                "{} disagrees with day",
                 engine.name()
             );
-        }
-        // per-query entry point agrees with the batch
-        for (i, q) in queries.iter().enumerate() {
-            assert_eq!(engines[0].average(q).unwrap(), baseline[i].rf);
+            // per-query entry point agrees with the batch
+            for (i, q) in queries.iter().enumerate() {
+                assert_eq!(engine.average(q).unwrap(), baseline[i].rf);
+            }
         }
     }
 
@@ -659,8 +527,7 @@ mod tests {
         // 64-bit IDs make collisions (practically) impossible, so HashRF
         // must reproduce the exact averages.
         let (refs, queries) = setup();
-        let bfh = Bfh::build(&refs.trees, &refs.taxa);
-        let exact = BfhrfComparator::new(&bfh, &refs.taxa);
+        let exact = DayComparator::new(&refs.trees, &refs.taxa);
         let config = HashRfConfig {
             id_bits: 64,
             ..HashRfConfig::default()
@@ -674,15 +541,23 @@ mod tests {
     #[test]
     fn empty_collections_are_typed_errors() {
         let (refs, queries) = setup();
-        let empty = Bfh::empty(refs.taxa.len());
-        let cmp = BfhrfComparator::new(&empty, &refs.taxa);
-        assert_eq!(
-            cmp.average(&queries[0]).unwrap_err(),
-            CoreError::EmptyReference
-        );
-        let bfh = Bfh::build(&refs.trees, &refs.taxa);
-        let cmp = BfhrfComparator::new(&bfh, &refs.taxa);
-        assert_eq!(cmp.average_all(&[]).unwrap_err(), CoreError::EmptyQuery);
+        let empty = Bfh::empty(refs.taxa.len()).freeze();
+        for par in [false, true] {
+            let cmp = FrozenComparator::new(&empty, &refs.taxa).parallel(par);
+            assert_eq!(
+                cmp.average(&queries[0]).unwrap_err(),
+                CoreError::EmptyReference
+            );
+            assert_eq!(
+                cmp.average_all(&queries).unwrap_err(),
+                CoreError::EmptyReference
+            );
+        }
+        let frozen = Bfh::build(&refs.trees, &refs.taxa).freeze();
+        for par in [false, true] {
+            let cmp = FrozenComparator::new(&frozen, &refs.taxa).parallel(par);
+            assert_eq!(cmp.average_all(&[]).unwrap_err(), CoreError::EmptyQuery);
+        }
     }
 
     #[test]
@@ -701,11 +576,8 @@ mod tests {
     #[test]
     fn guarded_batch_stops_on_cancel() {
         let (refs, queries) = setup();
-        let bfh = Bfh::build(&refs.trees, &refs.taxa);
-        let frozen = bfh.freeze();
+        let frozen = Bfh::build(&refs.trees, &refs.taxa).freeze();
         let cmps: Vec<Box<dyn Comparator>> = vec![
-            Box::new(BfhrfComparator::new(&bfh, &refs.taxa)),
-            Box::new(BfhrfComparator::new(&bfh, &refs.taxa).parallel(true)),
             Box::new(FrozenComparator::new(&frozen, &refs.taxa)),
             Box::new(FrozenComparator::new(&frozen, &refs.taxa).parallel(true)),
         ];
@@ -720,14 +592,9 @@ mod tests {
     #[test]
     fn injected_query_worker_panic_is_isolated() {
         let (refs, queries) = setup();
-        let bfh = Bfh::build(&refs.trees, &refs.taxa);
-        let cmp = BfhrfComparator::new(&bfh, &refs.taxa).parallel(true);
         let mut guard = RunGuard::default();
         guard.inject_panic_at(1);
-        let err = cmp.average_all_guarded(&queries, &guard).unwrap_err();
-        assert!(matches!(err, CoreError::WorkerPanic(_)), "{err:?}");
-        // Frozen path too
-        let frozen = bfh.freeze();
+        let frozen = Bfh::build(&refs.trees, &refs.taxa).freeze();
         let fz = FrozenComparator::new(&frozen, &refs.taxa).parallel(true);
         let err = fz.average_all_guarded(&queries, &guard).unwrap_err();
         assert!(matches!(err, CoreError::WorkerPanic(_)), "{err:?}");
@@ -740,9 +607,9 @@ mod tests {
     #[test]
     fn owned_hash_comparator_matches_borrowed() {
         let (refs, queries) = setup();
-        let bfh = Bfh::build(&refs.trees, &refs.taxa);
-        let borrowed = BfhrfComparator::new(&bfh, &refs.taxa);
-        let owned = BfhrfComparator::from_owned(bfh.clone(), &refs.taxa);
+        let frozen = Bfh::build(&refs.trees, &refs.taxa).freeze();
+        let borrowed = FrozenComparator::new(&frozen, &refs.taxa);
+        let owned = FrozenComparator::from_owned(frozen.clone(), &refs.taxa);
         assert_eq!(
             borrowed.average_all(&queries).unwrap(),
             owned.average_all(&queries).unwrap()
@@ -753,8 +620,9 @@ mod tests {
     fn hashrf_degrades_to_bfhrf_when_over_budget() {
         let (refs, queries) = setup();
         // A budget below HashRF's ~24 KB bucket-table estimate but above
-        // the fallback BFH's ~100-byte spill footprint: HashRF is refused,
-        // BFHRF builds fine under the same guard.
+        // the fallback BFH's ~100-byte spill footprint and its ~350-byte
+        // frozen table: HashRF is refused, BFHRF builds and freezes fine
+        // under the same guard.
         let guard = RunGuard::with_budget(crate::guard::RunBudget::with_max_bytes(1000));
         let engine =
             hashrf_or_degrade(&refs.trees, &refs.taxa, HashRfConfig::default(), &guard).unwrap();
@@ -764,8 +632,7 @@ mod tests {
         assert_eq!(events[0].from, "hashrf");
         assert_eq!(events[0].to, "bfhrf");
         // Degraded answers are the exact ones.
-        let bfh = Bfh::build(&refs.trees, &refs.taxa);
-        let exact = BfhrfComparator::new(&bfh, &refs.taxa);
+        let exact = DayComparator::new(&refs.trees, &refs.taxa);
         assert_eq!(
             engine.average_all(&queries).unwrap(),
             exact.average_all(&queries).unwrap()
@@ -788,11 +655,17 @@ mod tests {
         let mut wider = refs.taxa.clone();
         let alien =
             read_trees_from_str("((A,B),((C,Z1),(Z2,Z3)));", &mut wider, TaxaPolicy::Grow).unwrap();
-        let bfh = Bfh::build(&refs.trees, &refs.taxa);
-        let cmp = BfhrfComparator::new(&bfh, &refs.taxa);
-        assert!(matches!(
-            cmp.average(&alien[0]).unwrap_err(),
-            CoreError::TaxaMismatch(_)
-        ));
+        let frozen = Bfh::build(&refs.trees, &refs.taxa).freeze();
+        for par in [false, true] {
+            let cmp = FrozenComparator::new(&frozen, &refs.taxa).parallel(par);
+            assert!(matches!(
+                cmp.average(&alien[0]).unwrap_err(),
+                CoreError::TaxaMismatch(_)
+            ));
+            assert!(matches!(
+                cmp.average_all(&alien).unwrap_err(),
+                CoreError::TaxaMismatch(_)
+            ));
+        }
     }
 }

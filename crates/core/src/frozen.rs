@@ -46,6 +46,7 @@
 //! over [`Bfh::iter`], cheap next to the build that produced it.
 
 use crate::bfh::Bfh;
+use crate::{CoreError, RunGuard};
 use phylo::{BipartitionScratch, SplitBatch, TaxonSet, Tree};
 use phylo_bitset::group::{GroupScan, Scan, CTRL_EMPTY, GROUP_SLOTS};
 use phylo_bitset::{ctrl_h2, hash_bucket, hash_tag, split_hash128, words_for, Bits};
@@ -153,9 +154,9 @@ struct Entry {
 
 /// A frozen, probe-optimized snapshot of a [`Bfh`].
 ///
-/// Answers exactly the same `frequency`/`sum`/`n_trees` questions (it
-/// implements [`crate::SplitFrequency`]), bitwise-identically, but
-/// read-only.
+/// Answers exactly the same `frequency`/`sum`/`n_trees` questions,
+/// bitwise-identically, but read-only — and it is what every Algorithm-2
+/// score probes ([`crate::FrozenComparator`]).
 #[derive(Debug, Clone)]
 pub struct FrozenBfh {
     n_taxa: usize,
@@ -200,9 +201,7 @@ impl FrozenBfh {
         let n_taxa = bfh.n_taxa();
         let words = words_for(n_taxa);
         let distinct = bfh.distinct();
-        // Load factor ≤ 0.5 keeps probe chains short; minimum one full
-        // group so the windowed scan is always in bounds.
-        let capacity = (distinct * 2).max(GROUP_SLOTS).next_power_of_two();
+        let capacity = capacity_for(distinct);
         let mask = capacity - 1;
         let mut ctrl = vec![CTRL_EMPTY; capacity + GROUP_SLOTS].into_boxed_slice();
         let mut entries = vec![Entry::default(); capacity].into_boxed_slice();
@@ -484,6 +483,16 @@ impl FrozenBfh {
         self.mask + 1
     }
 
+    /// Heap bytes [`Self::freeze`] allocates for `distinct` splits over an
+    /// `n_taxa`-wide namespace: [`Self::approx_bytes`] of the table it
+    /// would build, known before anything is allocated.
+    pub fn bytes_for(n_taxa: usize, distinct: usize) -> usize {
+        let capacity = capacity_for(distinct);
+        (capacity + GROUP_SLOTS) * std::mem::size_of::<u8>()
+            + capacity * std::mem::size_of::<Entry>()
+            + distinct * words_for(n_taxa) * std::mem::size_of::<u64>()
+    }
+
     /// Heap bytes of the frozen layout: the control lane (including its
     /// wrap-mirror group), the 16-byte entry lane, and the packed mask
     /// pool. Pinned against the real allocation sizes by test, because the
@@ -536,6 +545,11 @@ impl FrozenBfh {
     /// belonging to other chains inside a window are rejected by the key
     /// compare; h2 never equals [`CTRL_EMPTY`], so candidates are always
     /// full slots.
+    ///
+    /// Forced inline: this is the body of every batched probe loop, and
+    /// the compiler's own choice has flipped to an out-of-line call per
+    /// probe when unrelated callers came and went.
+    #[inline(always)]
     fn frequency_hashed_impl<G: GroupScan>(&self, h: u128, w: &[u64]) -> u32 {
         if self.distinct == 0 {
             return 0;
@@ -679,36 +693,36 @@ impl FrozenBfh {
     }
 }
 
+/// Slot count for `distinct` splits: load factor ≤ 0.5 keeps probe chains
+/// short; minimum one full group so the windowed scan is always in bounds.
+fn capacity_for(distinct: usize) -> usize {
+    (distinct * 2).max(GROUP_SLOTS).next_power_of_two()
+}
+
 impl Bfh {
     /// Freeze this hash into the probe-optimized read-only layout. See
     /// [`FrozenBfh`].
     pub fn freeze(&self) -> FrozenBfh {
         FrozenBfh::freeze(self)
     }
-}
 
-impl crate::SplitFrequency for FrozenBfh {
-    fn split_frequency(&self, bits: &Bits) -> u32 {
-        self.frequency(bits)
-    }
-
-    fn occurrence_sum(&self) -> u64 {
-        self.sum
-    }
-
-    fn reference_count(&self) -> usize {
-        self.n_trees
-    }
-
-    fn split_frequency_words(&self, _n_bits: usize, words: &[u64]) -> u32 {
-        self.frequency_words(words)
+    /// [`Bfh::freeze`] under the guard's byte budget: the table's size
+    /// ([`FrozenBfh::bytes_for`]) is checked before any lane is allocated,
+    /// so an over-budget freeze is a typed [`CoreError::ResourceLimit`],
+    /// not an allocation past the ceiling.
+    pub fn try_freeze(&self, guard: &RunGuard) -> Result<FrozenBfh, CoreError> {
+        guard.check_alloc(
+            "frozen BFH table",
+            FrozenBfh::bytes_for(self.n_taxa(), self.distinct()),
+        )?;
+        Ok(self.freeze())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::SplitFrequency;
+    use crate::{Comparator, DayComparator};
     use phylo::TreeCollection;
     use phylo_bitset::group::ScalarScan;
 
@@ -749,7 +763,7 @@ mod tests {
         for q in queries {
             let batch = scratch.batch_splits(q, taxa);
             let live: u64 = (0..batch.len())
-                .map(|i| u64::from(bfh.split_frequency_words(taxa.len(), batch.mask(i))))
+                .map(|i| u64::from(bfh.frequency_words(batch.mask(i))))
                 .sum();
             assert_eq!(frozen.sum_batch_impl::<ScalarScan>(&batch), live);
             assert_eq!(frozen.sum_batch_impl::<Scan>(&batch), live);
@@ -824,13 +838,24 @@ mod tests {
 
     #[test]
     fn batched_average_matches_per_split_probes() {
+        // Algorithm 2 spelled out split by split over the live counts, and
+        // Day's pairwise oracle, against the batched frozen kernel.
         let (coll, bfh, frozen) =
             build("((A,B),((C,D),(E,F)));\n(((A,C),B),(D,(E,F)));\n((A,F),((C,D),(E,B)));");
+        let day = DayComparator::new(&coll.trees, &coll.taxa);
         let mut scratch = BipartitionScratch::new();
         for q in &coll.trees {
-            let live = crate::bfhrf_average(q, &coll.taxa, &bfh);
+            let splits = scratch.splits(q, &coll.taxa);
+            let freq_sum: u64 = splits.iter().map(|b| u64::from(bfh.frequency(b))).sum();
+            let r = bfh.n_trees() as u64;
+            let per_split = crate::RfAverage {
+                left: bfh.sum() - freq_sum,
+                right: splits.len() as u64 * r - freq_sum,
+                n_refs: bfh.n_trees(),
+            };
             let froz = frozen.average_scratch(q, &coll.taxa, &mut scratch);
-            assert_eq!(live, froz);
+            assert_eq!(per_split, froz);
+            assert_eq!(day.average(q).unwrap(), froz);
         }
     }
 
@@ -838,8 +863,8 @@ mod tests {
     fn word_boundary_widths_freeze_and_probe_identically() {
         // n_taxa ∈ {63, 64, 65, 128}: the one-word fast path, its exact
         // upper edge, the first two-word width, and an exact two-word
-        // width. Frozen must equal live on every simulated tree, on both
-        // scan engines.
+        // width. Frozen must equal live on every stored split, on both
+        // scan engines, and score every simulated tree like Day's oracle.
         for n in [63usize, 64, 65, 128] {
             let spec = phylo_sim::DatasetSpec::new("widths", n, 12, n as u64);
             let coll = phylo_sim::generate(&spec);
@@ -850,9 +875,10 @@ mod tests {
                 assert_eq!(frozen.frequency(bits), count, "n={n} {bits}");
             }
             assert_engines_agree(&bfh, &frozen, &coll.trees, &coll.taxa);
+            let day = DayComparator::new(&coll.trees, &coll.taxa);
             for q in &coll.trees {
                 assert_eq!(
-                    crate::bfhrf_average(q, &coll.taxa, &bfh),
+                    day.average(q).unwrap(),
                     frozen.average_scratch(q, &coll.taxa, &mut scratch),
                     "n={n}"
                 );
@@ -885,6 +911,7 @@ mod tests {
                 + std::mem::size_of_val(&*frozen.entries)
                 + std::mem::size_of_val(&*frozen.pool);
             assert_eq!(frozen.approx_bytes(), actual, "n={n} r={r}");
+            assert_eq!(FrozenBfh::bytes_for(n, frozen.distinct()), actual);
             // Layout invariants the accounting relies on.
             assert_eq!(frozen.ctrl.len(), frozen.capacity() + GROUP_SLOTS);
             assert_eq!(std::mem::size_of::<Entry>(), 16);
@@ -896,6 +923,30 @@ mod tests {
             + std::mem::size_of_val(&*empty.entries)
             + std::mem::size_of_val(&*empty.pool);
         assert_eq!(empty.approx_bytes(), actual);
+        assert_eq!(FrozenBfh::bytes_for(4, 0), actual);
+    }
+
+    #[test]
+    fn try_freeze_refuses_tables_over_the_byte_budget() {
+        // Uniform trees share few splits, so the frozen table (≥ 2 slots of
+        // 17 bytes per distinct split, plus the pool) outgrows the build's
+        // spill buffers. A budget between the two must pass the build and
+        // refuse the freeze — typed, before allocating.
+        let coll = phylo_sim::perturb::random_collection(32, 60, 17);
+        let n = coll.taxa.len();
+        let spill = coll.len() * (n - 3) * words_for(n) * 8;
+        let bfh = Bfh::build(&coll.trees, &coll.taxa);
+        let table = FrozenBfh::bytes_for(n, bfh.distinct());
+        assert!(spill < table, "spill {spill} vs table {table}");
+        let guard = RunGuard::with_budget(crate::RunBudget::with_max_bytes((spill + table) / 2));
+        let built = Bfh::try_build_sharded(&coll.trees, &coll.taxa, 2, &guard).unwrap();
+        let err = built.try_freeze(&guard).unwrap_err();
+        assert!(matches!(err, CoreError::ResourceLimit(_)), "{err}");
+        // At exactly the table's size the freeze goes through, unchanged.
+        let guard = RunGuard::with_budget(crate::RunBudget::with_max_bytes(table));
+        let frozen = built.try_freeze(&guard).unwrap();
+        assert_eq!(frozen.digest(), built.freeze().digest());
+        assert_eq!(frozen.approx_bytes(), table);
     }
 
     #[test]

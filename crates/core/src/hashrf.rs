@@ -228,6 +228,7 @@ impl HashRf {
 mod tests {
     use super::*;
     use crate::matrix::rf_matrix_exact;
+    use crate::Comparator as _;
     use phylo::TreeCollection;
 
     fn collection() -> TreeCollection {
@@ -254,8 +255,10 @@ mod tests {
     fn averages_match_bfhrf() {
         let coll = collection();
         let h = HashRf::compute(&coll.trees, &coll.taxa, &HashRfConfig::default()).unwrap();
-        let bfh = crate::Bfh::build(&coll.trees, &coll.taxa);
-        let scores = crate::bfhrf_all(&coll.trees, &coll.taxa, &bfh).unwrap();
+        let frozen = crate::Bfh::build(&coll.trees, &coll.taxa).freeze();
+        let scores = crate::FrozenComparator::new(&frozen, &coll.taxa)
+            .average_all(&coll.trees)
+            .unwrap();
         let avgs = h.averages();
         for s in scores {
             assert!((avgs[s.index] - s.rf.average()).abs() < 1e-12);

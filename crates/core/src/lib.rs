@@ -19,18 +19,22 @@
 //! avgRF(T') = (RF_left + RF_right) / r
 //! ```
 //!
-//! Query comparisons are independent, so they parallelize embarrassingly
-//! ([`BfhrfComparator`]`::parallel(true)` runs them on rayon).
+//! Once built, the hash is frozen into a read-only, group-probed table
+//! ([`FrozenBfh`]) and every query is scored against that table by
+//! [`FrozenComparator`]. Query comparisons are independent, so they
+//! parallelize embarrassingly ([`FrozenComparator`]`::parallel(true)` runs
+//! them on rayon).
 //!
 //! ## What's in the crate
 //!
 //! | Module | Contents |
 //! |---|---|
 //! | [`bfh`] | The frequency hash: sequential/sharded builds, incremental add/remove, preprocessing hooks |
+//! | [`frozen`] | [`FrozenBfh`], the read-only probe table every BFHRF score goes through |
 //! | [`builder`] | [`BfhBuilder`] — the one configurable front door for hash construction |
 //! | [`guard`] | Run hardening: [`RunBudget`], [`CancelToken`], degradation log, panic isolation |
 //! | [`comparator`] | The [`Comparator`] trait unifying every average-RF engine (BFHRF, DS/DSMP, HashRF, Day) |
-//! | [`rf`] | BFHRF itself (Algorithm 2): sequential, parallel, streaming |
+//! | [`rf`] | Algorithm 2's result types ([`RfAverage`], [`QueryScore`]) and the streaming query entry point |
 //! | [`seqrf`] | The DS/DSMP baselines (Algorithm 1): sequential and rayon-parallel all-pairs loops |
 //! | [`hashrf`] | A faithful HashRF reimplementation: two-level universal hashing, all-vs-all `r × r` matrix, configurable ID width (collisions) |
 //! | [`day`] | Day's O(n) pairwise RF — the independent correctness oracle |
@@ -47,14 +51,16 @@
 //! ## Quickstart
 //!
 //! ```
-//! use bfhrf::{Bfh, bfhrf_average};
+//! use bfhrf::{Bfh, Comparator, FrozenComparator};
 //! use phylo::TreeCollection;
 //!
 //! let refs = TreeCollection::parse("((A,B),(C,D));\n((A,B),(C,D));\n((A,C),(B,D));").unwrap();
 //! let queries = TreeCollection::parse("((A,B),(C,D));").unwrap();
 //!
-//! let bfh = Bfh::build(&refs.trees, &refs.taxa);
-//! let avg = bfhrf_average(&queries.trees[0], &refs.taxa, &bfh);
+//! let frozen = Bfh::build(&refs.trees, &refs.taxa).freeze();
+//! let avg = FrozenComparator::new(&frozen, &refs.taxa)
+//!     .average(&queries.trees[0])
+//!     .unwrap();
 //! // distance 0 to two refs, 2 to one: average 2/3
 //! assert!((avg.average() - 2.0 / 3.0).abs() < 1e-12);
 //! ```
@@ -87,14 +93,13 @@ pub use bfh::Bfh;
 pub use builder::BfhBuilder;
 pub use compact::CompactBfh;
 pub use comparator::{
-    hashrf_or_degrade, BfhrfComparator, Comparator, DayComparator, FrozenComparator,
-    HashRfComparator, SetComparator,
+    hashrf_or_degrade, Comparator, DayComparator, FrozenComparator, HashRfComparator, SetComparator,
 };
 pub use day::day_rf;
 pub use error::CoreError;
 pub use frozen::{FrozenBfh, FrozenLayout, MapGuard};
 pub use guard::{CancelToken, Degradation, EvictFn, RunBudget, RunGuard};
 pub use hashrf::{HashRf, HashRfConfig};
-pub use rf::{bfhrf_all, bfhrf_average, QueryScore, RfAverage, SplitFrequency};
+pub use rf::{QueryScore, RfAverage};
 pub use select::best_query;
 pub use seqrf::sequential_rf;

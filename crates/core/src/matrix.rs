@@ -327,14 +327,16 @@ mod tests {
 
     #[test]
     fn row_means_match_bfhrf_self_average() {
-        use crate::{bfhrf_all, Bfh};
+        use crate::{Bfh, Comparator, FrozenComparator};
         let coll = TreeCollection::parse(
             "((A,B),((C,D),(E,F)));\n(((A,C),B),(D,(E,F)));\n((A,F),((C,D),(E,B)));",
         )
         .unwrap();
         let m = rf_matrix_exact(&coll.trees, &coll.taxa, usize::MAX).unwrap();
-        let bfh = Bfh::build(&coll.trees, &coll.taxa);
-        let scores = bfhrf_all(&coll.trees, &coll.taxa, &bfh).unwrap();
+        let frozen = Bfh::build(&coll.trees, &coll.taxa).freeze();
+        let scores = FrozenComparator::new(&frozen, &coll.taxa)
+            .average_all(&coll.trees)
+            .unwrap();
         for s in scores {
             assert!(
                 (m.row_mean(s.index) - s.rf.average()).abs() < 1e-12,

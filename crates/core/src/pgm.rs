@@ -119,6 +119,7 @@ impl TreeSignature {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Comparator as _;
     use phylo::{BipartitionSet, TreeCollection};
 
     fn collection() -> TreeCollection {
@@ -176,8 +177,10 @@ mod tests {
             .iter()
             .map(|t| h.signature(t, &coll.taxa))
             .collect();
-        let bfh = crate::Bfh::build(&coll.trees, &coll.taxa);
-        let scores = crate::bfhrf_all(&coll.trees, &coll.taxa, &bfh).unwrap();
+        let frozen = crate::Bfh::build(&coll.trees, &coll.taxa).freeze();
+        let scores = crate::FrozenComparator::new(&frozen, &coll.taxa)
+            .average_all(&coll.trees)
+            .unwrap();
         for s in &scores {
             let pgm = h.average_rf(&sigs[s.index], &sigs);
             assert!((pgm - s.rf.average()).abs() < 1e-12, "tree {}", s.index);

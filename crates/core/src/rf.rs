@@ -1,13 +1,16 @@
-//! The BFHRF query computation — the paper's Algorithm 2, second loop.
+//! The BFHRF query results — the paper's Algorithm 2, second loop.
 //!
-//! Each query tree is compared against the [`Bfh`] once, in `O(n²)`,
-//! independently of `r` and of every other query. Totals are accumulated
-//! in integers; division by `r` happens only in [`RfAverage::average`], so
-//! results are exact and deterministic regardless of parallel scheduling.
+//! Each query tree is compared against the frequency hash once, in
+//! `O(n²)`, independently of `r` and of every other query. The probe loop
+//! itself lives on the frozen table ([`FrozenBfh::average_batch`]); this
+//! module holds its result types and the streaming entry point. Totals are
+//! accumulated in integers; division by `r` happens only in
+//! [`RfAverage::average`], so results are exact and deterministic
+//! regardless of parallel scheduling.
 
-use crate::bfh::Bfh;
+use crate::frozen::FrozenBfh;
 use crate::CoreError;
-use phylo::{BipartitionScratch, IngestPolicy, NewickReader, TaxaPolicy, TaxonSet, Tree};
+use phylo::{BipartitionScratch, IngestPolicy, NewickReader, TaxaPolicy, TaxonSet};
 use std::io::BufRead;
 
 /// Exact average-RF result for one query tree against a collection.
@@ -44,110 +47,6 @@ impl RfAverage {
     }
 }
 
-/// Anything that can answer "how many reference trees contain this
-/// split?" — the interface Algorithm 2 actually needs. Implemented by
-/// [`Bfh`] and by [`crate::CompactBfh`]; alternative stores (mmap-backed,
-/// GPU-resident, ...) plug in here.
-pub trait SplitFrequency {
-    /// Frequency of a canonical split bitmask (0 if absent).
-    fn split_frequency(&self, bits: &phylo_bitset::Bits) -> u32;
-    /// Total split occurrences (`sumBFHR`).
-    fn occurrence_sum(&self) -> u64;
-    /// Number of reference trees (`r`).
-    fn reference_count(&self) -> usize;
-    /// Frequency of a canonical mask given as raw words over an
-    /// `n_bits`-wide namespace. The default materializes a key; stores with
-    /// a borrowed-key probe (like [`Bfh`]) override it so scratch-driven
-    /// queries never allocate.
-    fn split_frequency_words(&self, n_bits: usize, words: &[u64]) -> u32 {
-        self.split_frequency(&phylo_bitset::Bits::from_words(n_bits, words))
-    }
-}
-
-impl SplitFrequency for Bfh {
-    fn split_frequency(&self, bits: &phylo_bitset::Bits) -> u32 {
-        self.frequency(bits)
-    }
-
-    fn occurrence_sum(&self) -> u64 {
-        self.sum()
-    }
-
-    fn reference_count(&self) -> usize {
-        self.n_trees()
-    }
-
-    fn split_frequency_words(&self, _n_bits: usize, words: &[u64]) -> u32 {
-        self.frequency_words(words)
-    }
-}
-
-impl SplitFrequency for crate::CompactBfh {
-    fn split_frequency(&self, bits: &phylo_bitset::Bits) -> u32 {
-        self.frequency(bits)
-    }
-
-    fn occurrence_sum(&self) -> u64 {
-        self.sum()
-    }
-
-    fn reference_count(&self) -> usize {
-        self.n_trees()
-    }
-
-    fn split_frequency_words(&self, n_bits: usize, words: &[u64]) -> u32 {
-        self.frequency_words(n_bits, words)
-    }
-}
-
-/// Average RF of one query tree against any split-frequency store —
-/// Algorithm 2's arithmetic, generic over the hash representation.
-///
-/// # Panics
-/// Panics if the store holds no trees (average undefined).
-pub fn bfhrf_average_with<H: SplitFrequency>(query: &Tree, taxa: &TaxonSet, hash: &H) -> RfAverage {
-    bfhrf_average_scratch(query, taxa, hash, &mut BipartitionScratch::new())
-}
-
-/// [`bfhrf_average_with`] through a caller-owned extraction arena: the
-/// query's splits are visited as borrowed word slices and probed via
-/// [`SplitFrequency::split_frequency_words`], so batched callers reuse one
-/// scratch across all queries and the per-query loop allocates nothing.
-///
-/// # Panics
-/// Panics if the store holds no trees (average undefined).
-pub fn bfhrf_average_scratch<H: SplitFrequency>(
-    query: &Tree,
-    taxa: &TaxonSet,
-    hash: &H,
-    scratch: &mut BipartitionScratch,
-) -> RfAverage {
-    assert!(
-        hash.reference_count() > 0,
-        "average RF over an empty reference collection"
-    );
-    let r = hash.reference_count() as u64;
-    let mut freq_sum = 0u64; // Σ_{b′ ∈ B(T′)} BFH[b′]
-    let mut q_splits = 0u64; // |B(T′)|
-    scratch.for_each_split(query, taxa, |w| {
-        freq_sum += u64::from(hash.split_frequency_words(taxa.len(), w));
-        q_splits += 1;
-    });
-    RfAverage {
-        left: hash.occurrence_sum() - freq_sum,
-        right: q_splits * r - freq_sum,
-        n_refs: hash.reference_count(),
-    }
-}
-
-/// Average RF of one query tree against the hash (tree-vs-hash comparison).
-///
-/// # Panics
-/// Panics if the hash holds no trees (average undefined).
-pub fn bfhrf_average(query: &Tree, taxa: &TaxonSet, bfh: &Bfh) -> RfAverage {
-    bfhrf_average_with(query, taxa, bfh)
-}
-
 /// One query's index and score, as produced by the batch entry points.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct QueryScore {
@@ -157,44 +56,15 @@ pub struct QueryScore {
     pub rf: RfAverage,
 }
 
-fn check_nonempty(queries: &[Tree], bfh: &Bfh) -> Result<(), CoreError> {
-    if bfh.n_trees() == 0 {
-        return Err(CoreError::EmptyReference);
-    }
-    if queries.is_empty() {
-        return Err(CoreError::EmptyQuery);
-    }
-    Ok(())
-}
-
-/// Average RF of every query tree, sequentially, through one reused
-/// extraction arena.
-pub fn bfhrf_all(
-    queries: &[Tree],
-    taxa: &TaxonSet,
-    bfh: &Bfh,
-) -> Result<Vec<QueryScore>, CoreError> {
-    check_nonempty(queries, bfh)?;
-    let mut scratch = BipartitionScratch::new();
-    Ok(queries
-        .iter()
-        .enumerate()
-        .map(|(index, q)| QueryScore {
-            index,
-            rf: bfhrf_average_scratch(q, taxa, bfh, &mut scratch),
-        })
-        .collect())
-}
-
 /// Average RF of every query tree read from a Newick stream, without ever
 /// holding more than one query in memory. Labels must resolve against
-/// `taxa` (the namespace the hash was built over).
+/// `taxa` (the namespace the table was built over).
 pub fn bfhrf_streaming<R: BufRead>(
     reader: R,
     taxa: &mut TaxonSet,
-    bfh: &Bfh,
+    frozen: &FrozenBfh,
 ) -> Result<Vec<QueryScore>, CoreError> {
-    if bfh.n_trees() == 0 {
+    if frozen.n_trees() == 0 {
         return Err(CoreError::EmptyReference);
     }
     let mut stream = NewickReader::new(reader, TaxaPolicy::Require, IngestPolicy::Strict);
@@ -203,7 +73,7 @@ pub fn bfhrf_streaming<R: BufRead>(
     while let Some(tree) = stream.next_tree(taxa)? {
         out.push(QueryScore {
             index: out.len(),
-            rf: bfhrf_average_scratch(&tree, taxa, bfh, &mut scratch),
+            rf: frozen.average_scratch(&tree, taxa, &mut scratch),
         });
     }
     if out.is_empty() {
@@ -215,27 +85,32 @@ pub fn bfhrf_streaming<R: BufRead>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use phylo::TreeCollection;
+    use crate::{Bfh, Comparator, FrozenComparator};
+    use phylo::{Tree, TreeCollection};
 
-    fn setup(refs: &str, queries: &str) -> (TreeCollection, Vec<Tree>, Bfh) {
+    fn setup(refs: &str, queries: &str) -> (TreeCollection, Vec<Tree>, FrozenBfh) {
         // Parse refs growing the namespace, then queries against it so the
         // bit layout is shared.
         let mut refs_coll = TreeCollection::parse(refs).unwrap();
         let queries =
             phylo::read_trees_from_str(queries, &mut refs_coll.taxa, TaxaPolicy::Require).unwrap();
-        let bfh = Bfh::build(&refs_coll.trees, &refs_coll.taxa);
-        (refs_coll, queries, bfh)
+        let frozen = Bfh::build(&refs_coll.trees, &refs_coll.taxa).freeze();
+        (refs_coll, queries, frozen)
+    }
+
+    fn average(query: &Tree, taxa: &TaxonSet, frozen: &FrozenBfh) -> RfAverage {
+        FrozenComparator::new(frozen, taxa).average(query).unwrap()
     }
 
     #[test]
     fn paper_worked_example() {
         // R = {((A,B),(C,D)) ×2, ((A,C),(B,D))}; query ((A,B),(C,D)):
         // distances 0, 0, 2 → left 1, right 1, avg 2/3.
-        let (refs, queries, bfh) = setup(
+        let (refs, queries, frozen) = setup(
             "((A,B),(C,D));\n((A,B),(C,D));\n((A,C),(B,D));",
             "((A,B),(C,D));",
         );
-        let avg = bfhrf_average(&queries[0], &refs.taxa, &bfh);
+        let avg = average(&queries[0], &refs.taxa, &frozen);
         assert_eq!(avg.left, 1);
         assert_eq!(avg.right, 1);
         assert_eq!(avg.total(), 2);
@@ -245,8 +120,8 @@ mod tests {
 
     #[test]
     fn identical_collection_gives_zero() {
-        let (refs, queries, bfh) = setup("((A,B),(C,D));", "((A,B),(C,D));");
-        let avg = bfhrf_average(&queries[0], &refs.taxa, &bfh);
+        let (refs, queries, frozen) = setup("((A,B),(C,D));", "((A,B),(C,D));");
+        let avg = average(&queries[0], &refs.taxa, &frozen);
         assert_eq!(avg.total(), 0);
         assert_eq!(avg.average(), 0.0);
     }
@@ -254,8 +129,8 @@ mod tests {
     #[test]
     fn disjoint_splits_give_maximum() {
         // 4-taxa trees with different internal splits: RF = 2 each.
-        let (refs, queries, bfh) = setup("((A,B),(C,D));\n((A,B),(C,D));", "((A,C),(B,D));");
-        let avg = bfhrf_average(&queries[0], &refs.taxa, &bfh);
+        let (refs, queries, frozen) = setup("((A,B),(C,D));\n((A,B),(C,D));", "((A,C),(B,D));");
+        let avg = average(&queries[0], &refs.taxa, &frozen);
         assert_eq!(avg.total(), 4);
         assert_eq!(avg.average(), 2.0);
     }
@@ -264,10 +139,11 @@ mod tests {
     fn all_and_parallel_comparator_agree() {
         let refs = "((A,B),((C,D),(E,F)));\n(((A,C),B),(D,(E,F)));\n((A,F),((C,D),(E,B)));";
         let queries = "((A,B),((C,D),(E,F)));\n((A,E),((C,D),(B,F)));";
-        let (refs_coll, qs, bfh) = setup(refs, queries);
-        let seq = bfhrf_all(&qs, &refs_coll.taxa, &bfh).unwrap();
-        use crate::Comparator as _;
-        let par = crate::BfhrfComparator::new(&bfh, &refs_coll.taxa)
+        let (refs_coll, qs, frozen) = setup(refs, queries);
+        let seq = FrozenComparator::new(&frozen, &refs_coll.taxa)
+            .average_all(&qs)
+            .unwrap();
+        let par = FrozenComparator::new(&frozen, &refs_coll.taxa)
             .parallel(true)
             .average_all(&qs)
             .unwrap();
@@ -281,22 +157,24 @@ mod tests {
     fn streaming_matches_batch() {
         let refs = "((A,B),((C,D),(E,F)));\n(((A,C),B),(D,(E,F)));";
         let queries = "((A,B),((C,D),(E,F)));\n((A,E),((C,D),(B,F)));";
-        let (mut refs_coll, qs, bfh) = setup(refs, queries);
-        let batch = bfhrf_all(&qs, &refs_coll.taxa, &bfh).unwrap();
-        let streamed = bfhrf_streaming(queries.as_bytes(), &mut refs_coll.taxa, &bfh).unwrap();
+        let (mut refs_coll, qs, frozen) = setup(refs, queries);
+        let batch = FrozenComparator::new(&frozen, &refs_coll.taxa)
+            .average_all(&qs)
+            .unwrap();
+        let streamed = bfhrf_streaming(queries.as_bytes(), &mut refs_coll.taxa, &frozen).unwrap();
         assert_eq!(batch, streamed);
     }
 
     #[test]
     fn empty_inputs_are_typed_errors() {
-        let (refs, qs, bfh) = setup("((A,B),(C,D));", "((A,C),(B,D));");
+        let (mut refs, _, frozen) = setup("((A,B),(C,D));", "((A,C),(B,D));");
         assert_eq!(
-            bfhrf_all(&[], &refs.taxa, &bfh).unwrap_err(),
+            bfhrf_streaming(&b""[..], &mut refs.taxa, &frozen).unwrap_err(),
             CoreError::EmptyQuery
         );
-        let empty = Bfh::empty(refs.taxa.len());
+        let empty = Bfh::empty(refs.taxa.len()).freeze();
         assert_eq!(
-            bfhrf_all(&qs, &refs.taxa, &empty).unwrap_err(),
+            bfhrf_streaming(&b"((A,C),(B,D));"[..], &mut refs.taxa, &empty).unwrap_err(),
             CoreError::EmptyReference
         );
     }
@@ -307,8 +185,10 @@ mod tests {
         // average includes its own zero distance.
         let text = "((A,B),(C,D));\n((A,C),(B,D));";
         let refs = TreeCollection::parse(text).unwrap();
-        let bfh = Bfh::build(&refs.trees, &refs.taxa);
-        let scores = bfhrf_all(&refs.trees, &refs.taxa, &bfh).unwrap();
+        let frozen = Bfh::build(&refs.trees, &refs.taxa).freeze();
+        let scores = FrozenComparator::new(&frozen, &refs.taxa)
+            .average_all(&refs.trees)
+            .unwrap();
         // each tree: distance 0 to itself, 2 to the other → avg 1
         for s in &scores {
             assert_eq!(s.rf.total(), 2);
@@ -317,24 +197,11 @@ mod tests {
     }
 
     #[test]
-    fn generic_entry_point_accepts_both_hash_types() {
-        let (refs, qs, bfh) = setup(
-            "((A,B),((C,D),(E,F)));\n(((A,C),B),(D,(E,F)));",
-            "((A,B),((C,D),(E,F)));",
-        );
-        let compact = crate::CompactBfh::from_bfh(&bfh);
-        let a = bfhrf_average_with(&qs[0], &refs.taxa, &bfh);
-        let b = bfhrf_average_with(&qs[0], &refs.taxa, &compact);
-        assert_eq!(a, b);
-        assert_eq!(a, bfhrf_average(&qs[0], &refs.taxa, &bfh));
-    }
-
-    #[test]
     fn multifurcating_queries_are_supported() {
         // A star query has no internal splits: left = sumBFHR, right = 0.
-        let (refs, qs, bfh) = setup("((A,B),(C,D));\n((A,C),(B,D));", "(A,B,C,D);");
-        let avg = bfhrf_average(&qs[0], &refs.taxa, &bfh);
-        assert_eq!(avg.left, bfh.sum());
+        let (refs, qs, frozen) = setup("((A,B),(C,D));\n((A,C),(B,D));", "(A,B,C,D);");
+        let avg = average(&qs[0], &refs.taxa, &frozen);
+        assert_eq!(avg.left, frozen.sum());
         assert_eq!(avg.right, 0);
     }
 }

@@ -70,7 +70,7 @@ mod tests {
 
     #[test]
     fn end_to_end_selection() {
-        use crate::{bfhrf_all, Bfh};
+        use crate::{Bfh, Comparator, FrozenComparator};
         let mut refs = phylo::TreeCollection::parse(
             "((A,B),((C,D),(E,F)));\n((A,B),((C,D),(E,F)));\n((A,B),((C,E),(D,F)));",
         )
@@ -81,8 +81,10 @@ mod tests {
             phylo::TaxaPolicy::Require,
         )
         .unwrap();
-        let bfh = Bfh::build(&refs.trees, &refs.taxa);
-        let scores = bfhrf_all(&queries, &refs.taxa, &bfh).unwrap();
+        let frozen = Bfh::build(&refs.trees, &refs.taxa).freeze();
+        let scores = FrozenComparator::new(&frozen, &refs.taxa)
+            .average_all(&queries)
+            .unwrap();
         // query 1 matches the majority topology: it must win
         assert_eq!(best_query(&scores).unwrap().index, 1);
     }

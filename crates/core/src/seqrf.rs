@@ -5,7 +5,7 @@
 //! differences. `DendropySingleMP` (DSMP) is the same computation with the
 //! query loop parallelized at the tree level. Both are `O(n²qr)` time and
 //! `O(n²r)` space, and exist here to reproduce the paper's comparisons —
-//! use [`crate::bfhrf_all`] for real work.
+//! use [`crate::FrozenComparator`] for real work.
 
 use crate::rf::{QueryScore, RfAverage};
 use crate::CoreError;
@@ -80,7 +80,7 @@ pub fn sequential_rf(
 mod tests {
     use super::*;
     use crate::bfh::Bfh;
-    use crate::rf::bfhrf_all;
+    use crate::{Comparator, FrozenComparator};
     use phylo::TreeCollection;
 
     fn six_taxa_collections() -> (TreeCollection, Vec<Tree>) {
@@ -101,8 +101,10 @@ mod tests {
     fn ds_matches_bfhrf_exactly() {
         let (refs, queries) = six_taxa_collections();
         let ds = sequential_rf(&queries, &refs.trees, &refs.taxa).unwrap();
-        let bfh = Bfh::build(&refs.trees, &refs.taxa);
-        let fast = bfhrf_all(&queries, &refs.taxa, &bfh).unwrap();
+        let frozen = Bfh::build(&refs.trees, &refs.taxa).freeze();
+        let fast = FrozenComparator::new(&frozen, &refs.taxa)
+            .average_all(&queries)
+            .unwrap();
         assert_eq!(
             ds, fast,
             "Algorithm 1 and Algorithm 2 must agree field-by-field"
@@ -113,7 +115,6 @@ mod tests {
     fn dsmp_comparator_matches_ds() {
         let (refs, queries) = six_taxa_collections();
         let ds = sequential_rf(&queries, &refs.trees, &refs.taxa).unwrap();
-        use crate::Comparator as _;
         let dsmp = crate::SetComparator::new(&refs.trees, &refs.taxa)
             .parallel(true)
             .average_all(&queries)

@@ -8,7 +8,8 @@
 //! needed the fixed-taxa assumption, only consistent bitmask layouts.
 
 use crate::bfh::Bfh;
-use crate::rf::{bfhrf_all, QueryScore};
+use crate::comparator::{Comparator, FrozenComparator};
+use crate::rf::QueryScore;
 use crate::CoreError;
 use phylo::{TaxonSet, Tree, TreeCollection};
 use phylo_bitset::Bits;
@@ -65,8 +66,6 @@ pub struct CommonTaxaRf {
     pub refs: Vec<Tree>,
     /// Queries restricted and re-encoded over [`CommonTaxaRf::taxa`].
     pub queries: Vec<Tree>,
-    /// The frequency hash over the restricted references.
-    pub bfh: Bfh,
     /// Per-query average RF on the common taxa.
     pub scores: Vec<QueryScore>,
 }
@@ -105,13 +104,12 @@ pub fn common_taxa_rf(
     }
     let refs_r = restrict_collection(refs, &shared, &taxa)?;
     let queries_r = restrict_collection(queries, &shared, &taxa)?;
-    let bfh = Bfh::build(&refs_r, &taxa);
-    let scores = bfhrf_all(&queries_r, &taxa, &bfh)?;
+    let frozen = Bfh::build(&refs_r, &taxa).freeze();
+    let scores = FrozenComparator::new(&frozen, &taxa).average_all(&queries_r)?;
     Ok(CommonTaxaRf {
         taxa,
         refs: refs_r,
         queries: queries_r,
-        bfh,
         scores,
     })
 }
@@ -134,9 +132,10 @@ mod tests {
             phylo::TaxaPolicy::Require,
         )
         .unwrap();
-        let bfh = Bfh::build(&refs2.trees, &refs2.taxa);
-        let direct = bfhrf_all(&q2, &refs2.taxa, &bfh).unwrap();
-        assert_eq!(out.scores[0].rf.total(), direct[0].rf.total());
+        let direct = crate::DayComparator::new(&refs2.trees, &refs2.taxa)
+            .average_all(&q2)
+            .unwrap();
+        assert_eq!(out.scores, direct);
     }
 
     #[test]

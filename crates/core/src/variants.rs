@@ -18,8 +18,9 @@
 //!   (weighted RF with per-tree branch lengths).
 
 use crate::bfh::Bfh;
+use crate::frozen::FrozenBfh;
 use crate::rf::RfAverage;
-use phylo::{TaxonSet, Tree};
+use phylo::{BipartitionScratch, TaxonSet, Tree};
 use phylo_bitset::Bits;
 
 /// A per-split weight used by [`GeneralizedRf`]. Weights must depend only
@@ -141,13 +142,14 @@ impl<'a, W: SplitWeight> GeneralizedRf<'a, W> {
 /// variant: splits whose smaller side is outside `[min_side, max_side]`
 /// are ignored on both the reference and the query side.
 pub struct SizeFilteredRf {
-    bfh: Bfh,
+    frozen: FrozenBfh,
     min_side: usize,
     max_side: usize,
 }
 
 impl SizeFilteredRf {
-    /// Build a filtered hash over the references.
+    /// Build the hash over the references, drop the out-of-band splits,
+    /// and freeze what survives.
     pub fn new(refs: &[Tree], taxa: &TaxonSet, min_side: usize, max_side: usize) -> Self {
         let n = taxa.len();
         let mut bfh = Bfh::build(refs, taxa);
@@ -156,34 +158,31 @@ impl SizeFilteredRf {
             (min_side..=max_side).contains(&side)
         });
         SizeFilteredRf {
-            bfh,
+            frozen: bfh.freeze(),
             min_side,
             max_side,
         }
     }
 
-    /// The filtered hash (e.g. to inspect what survived).
-    pub fn bfh(&self) -> &Bfh {
-        &self.bfh
-    }
-
     /// Filtered average RF for one query tree.
     pub fn average(&self, query: &Tree, taxa: &TaxonSet) -> RfAverage {
-        assert!(self.bfh.n_trees() > 0, "empty reference collection");
+        let frozen = &self.frozen;
+        assert!(frozen.n_trees() > 0, "empty reference collection");
         let n = taxa.len();
-        let r = self.bfh.n_trees() as u64;
+        let r = frozen.n_trees() as u64;
         let mut freq_sum = 0u64;
         let mut q_splits = 0u64;
-        for bp in query.bipartitions_filtered(taxa, |b| {
-            (self.min_side..=self.max_side).contains(&b.smaller_side(n))
-        }) {
-            freq_sum += u64::from(self.bfh.frequency_of(&bp));
-            q_splits += 1;
-        }
+        BipartitionScratch::new().for_each_split(query, taxa, |w| {
+            let ones = w.iter().map(|x| x.count_ones() as usize).sum::<usize>();
+            if (self.min_side..=self.max_side).contains(&ones.min(n - ones)) {
+                freq_sum += u64::from(frozen.frequency_words(w));
+                q_splits += 1;
+            }
+        });
         RfAverage {
-            left: self.bfh.sum() - freq_sum,
+            left: frozen.sum() - freq_sum,
             right: q_splits * r - freq_sum,
-            n_refs: self.bfh.n_trees(),
+            n_refs: frozen.n_trees(),
         }
     }
 }
@@ -221,7 +220,7 @@ pub fn branch_score(t1: &Tree, t2: &Tree, taxa: &TaxonSet) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rf::bfhrf_average;
+    use crate::{Comparator, DayComparator};
     use phylo::{read_trees_from_str, TaxaPolicy, TreeCollection};
 
     fn setup() -> (TreeCollection, Vec<Tree>) {
@@ -243,8 +242,9 @@ mod tests {
         let (refs, queries) = setup();
         let bfh = Bfh::build(&refs.trees, &refs.taxa);
         let gen = GeneralizedRf::new(&bfh, UnitWeight);
+        let day = DayComparator::new(&refs.trees, &refs.taxa);
         for q in &queries {
-            let exact = bfhrf_average(q, &refs.taxa, &bfh);
+            let exact = day.average(q).unwrap();
             assert!(
                 (gen.average(q, &refs.taxa) - exact.average()).abs() < 1e-9,
                 "unit-weighted generalized RF must equal standard RF"
@@ -288,14 +288,27 @@ mod tests {
         let (refs, queries) = setup();
         // only cherries (smaller side exactly 2)
         let filt = SizeFilteredRf::new(&refs.trees, &refs.taxa, 2, 2);
-        for (bits, _) in filt.bfh().iter() {
-            let ones = bits.count_ones() as usize;
+        assert!(filt.frozen.distinct() > 0);
+        for mask in filt.frozen.pool_lane().chunks(filt.frozen.words()) {
+            let ones = mask.iter().map(|w| w.count_ones() as usize).sum::<usize>();
             assert_eq!(ones.min(6 - ones), 2);
         }
         let a = filt.average(&queries[0], &refs.taxa);
+        // the scratch-extracted query side keeps exactly the splits the
+        // tree-walking filter keeps
+        for q in &queries {
+            let kept = q.bipartitions_filtered(&refs.taxa, |b| b.smaller_side(6) == 2);
+            let hits: u64 = kept
+                .iter()
+                .map(|b| u64::from(filt.frozen.frequency(b.bits())))
+                .sum();
+            let got = filt.average(q, &refs.taxa);
+            assert_eq!(got.right, kept.len() as u64 * 3 - hits);
+            assert_eq!(got.left, filt.frozen.sum() - hits);
+        }
         // filtered distances are bounded by unfiltered ones
-        let bfh = Bfh::build(&refs.trees, &refs.taxa);
-        let full = bfhrf_average(&queries[0], &refs.taxa, &bfh);
+        let day = DayComparator::new(&refs.trees, &refs.taxa);
+        let full = day.average(&queries[0]).unwrap();
         assert!(a.total() <= full.total());
     }
 
@@ -303,21 +316,18 @@ mod tests {
     fn size_filter_full_band_is_identity() {
         let (refs, queries) = setup();
         let filt = SizeFilteredRf::new(&refs.trees, &refs.taxa, 2, 4);
-        let bfh = Bfh::build(&refs.trees, &refs.taxa);
+        let day = DayComparator::new(&refs.trees, &refs.taxa);
         for q in &queries {
-            assert_eq!(
-                filt.average(q, &refs.taxa),
-                bfhrf_average(q, &refs.taxa, &bfh)
-            );
+            assert_eq!(filt.average(q, &refs.taxa), day.average(q).unwrap());
         }
     }
 
     #[test]
     fn normalization_bounds() {
         let (refs, queries) = setup();
-        let bfh = Bfh::build(&refs.trees, &refs.taxa);
+        let day = DayComparator::new(&refs.trees, &refs.taxa);
         for q in &queries {
-            let rf = bfhrf_average(q, &refs.taxa, &bfh);
+            let rf = day.average(q).unwrap();
             let norm = normalized_average(&rf, refs.taxa.len());
             assert!(
                 (0.0..=1.0).contains(&norm),

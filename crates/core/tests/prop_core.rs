@@ -2,15 +2,15 @@
 //!
 //! Four unrelated RF implementations live in this crate: the naive
 //! set-difference double loop (Algorithm 1), the frequency-hash arithmetic
-//! (Algorithm 2), the HashRF two-level hashing, and Day's interval
-//! algorithm. On arbitrary coalescent and uniform-random inputs they must
+//! (Algorithm 2, scored on the frozen table), the HashRF two-level
+//! hashing, and Day's interval algorithm. On arbitrary coalescent and uniform-random inputs they must
 //! agree **exactly** — integer for integer — which is a far stronger check
 //! than any fixed example.
 
 use bfhrf::matrix::rf_matrix_exact;
 use bfhrf::{
-    bfhrf_all, day_rf, sequential_rf, Bfh, BfhBuilder, BfhrfComparator, Comparator, DayComparator,
-    FrozenComparator, HashRf, HashRfConfig, SetComparator, SplitFrequency,
+    day_rf, sequential_rf, Bfh, BfhBuilder, Comparator, DayComparator, FrozenComparator, HashRf,
+    HashRfConfig, QueryScore, SetComparator,
 };
 use phylo::{BipartitionScratch, TreeCollection};
 use phylo_sim::datasets::DatasetSpec;
@@ -19,10 +19,18 @@ use proptest::prelude::*;
 
 /// Σ of the live map's counts over a query batch: the reference the
 /// frozen batch probe must equal.
-fn live_sum(bfh: &Bfh, n: usize, batch: &phylo::SplitBatch<'_>) -> u64 {
+fn live_sum(bfh: &Bfh, batch: &phylo::SplitBatch<'_>) -> u64 {
     (0..batch.len())
-        .map(|i| u64::from(bfh.split_frequency_words(n, batch.mask(i))))
+        .map(|i| u64::from(bfh.frequency_words(batch.mask(i))))
         .sum()
+}
+
+/// BFHRF scores of `queries` against `bfh`: freeze, then score
+/// sequentially — the path `bfhrf avgrf --algorithm bfhrf-seq` runs.
+fn bfhrf_scores(bfh: &Bfh, taxa: &phylo::TaxonSet, queries: &[phylo::Tree]) -> Vec<QueryScore> {
+    FrozenComparator::from_owned(bfh.freeze(), taxa)
+        .average_all(queries)
+        .unwrap()
 }
 
 /// Random collections: either coalescent (correlated splits) or uniform
@@ -57,7 +65,7 @@ proptest! {
         let ds = sequential_rf(&queries.trees, &refs.trees, &refs.taxa).unwrap();
         // 2. Algorithm 2 (BFHRF)
         let bfh = Bfh::build(&refs.trees, &refs.taxa);
-        let fast = bfhrf_all(&queries.trees, &refs.taxa, &bfh).unwrap();
+        let fast = bfhrf_scores(&bfh, &refs.taxa, &queries.trees);
         prop_assert_eq!(&ds, &fast, "DS vs BFHRF");
 
         // 3. Day's algorithm, pairwise, summed
@@ -72,7 +80,7 @@ proptest! {
 
         // 4. HashRF (wide IDs) on Q == R gives the same self-averages
         let h = HashRf::compute(&refs.trees, &refs.taxa, &HashRfConfig::default()).unwrap();
-        let self_scores = bfhrf_all(&refs.trees, &refs.taxa, &bfh).unwrap();
+        let self_scores = bfhrf_scores(&bfh, &refs.taxa, &refs.trees);
         for s in &self_scores {
             prop_assert!(
                 (h.averages()[s.index] - s.rf.average()).abs() < 1e-9,
@@ -98,8 +106,8 @@ proptest! {
         prop_assert_eq!(bfh_seq.sum(), bfh_par.sum());
         prop_assert_eq!(bfh_seq.distinct(), bfh_par.distinct());
 
-        let a = bfhrf_all(&queries.trees, &refs.taxa, &bfh_seq).unwrap();
-        let b = BfhrfComparator::new(&bfh_par, &refs.taxa)
+        let a = bfhrf_scores(&bfh_seq, &refs.taxa, &queries.trees);
+        let b = FrozenComparator::from_owned(bfh_par.freeze(), &refs.taxa)
             .parallel(true)
             .average_all(&queries.trees)
             .unwrap();
@@ -157,7 +165,7 @@ proptest! {
         let refs = collection(n, r, seed, true);
         let queries = collection(n, q, seed ^ 13, false);
         let bfh = BfhBuilder::new().shards(3).from_trees(&refs.trees, &refs.taxa).unwrap();
-        let bfhrf = BfhrfComparator::new(&bfh, &refs.taxa);
+        let bfhrf = FrozenComparator::from_owned(bfh.freeze(), &refs.taxa);
         let ds = SetComparator::new(&refs.trees, &refs.taxa);
         let day = DayComparator::new(&refs.trees, &refs.taxa);
         for qt in &queries.trees {
@@ -352,7 +360,9 @@ proptest! {
         let queries = collection(n, 2, seed ^ 3, true);
         let bfh = Bfh::build(&refs.trees, &refs.taxa);
         let gen = GeneralizedRf::new(&bfh, UnitWeight);
-        let exact = bfhrf_all(&queries.trees, &refs.taxa, &bfh).unwrap();
+        let exact = DayComparator::new(&refs.trees, &refs.taxa)
+            .average_all(&queries.trees)
+            .unwrap();
         for s in &exact {
             let g = gen.average(&queries.trees[s.index], &refs.taxa);
             prop_assert!((g - s.rf.average()).abs() < 1e-9);
@@ -374,7 +384,7 @@ proptest! {
             .map(|t| h.signature(t, &refs.taxa))
             .collect();
         let bfh = Bfh::build(&refs.trees, &refs.taxa);
-        let scores = bfhrf_all(&refs.trees, &refs.taxa, &bfh).unwrap();
+        let scores = bfhrf_scores(&bfh, &refs.taxa, &refs.trees);
         for s in &scores {
             let pgm = h.average_rf(&sigs[s.index], &sigs);
             prop_assert!((pgm - s.rf.average()).abs() < 1e-9, "tree {}", s.index);
@@ -407,11 +417,9 @@ proptest! {
         for (bits, count) in plain.iter() {
             prop_assert_eq!(compact.frequency(bits), count);
         }
-        for qt in &queries.trees {
-            prop_assert_eq!(
-                bfhrf::bfhrf_average(qt, &refs.taxa, &plain),
-                compact.average_rf(qt, &refs.taxa)
-            );
+        let exact = bfhrf_scores(&plain, &refs.taxa, &queries.trees);
+        for (qt, s) in queries.trees.iter().zip(&exact) {
+            prop_assert_eq!(s.rf, compact.average_rf(qt, &refs.taxa));
         }
         // reversibility: decompressed keys equal the originals
         let mut a: Vec<_> = compact.iter_bits().collect();
@@ -446,9 +454,9 @@ proptest! {
         coalescent in any::<bool>(),
     ) {
         // The frozen open-addressing table is a pure read-optimization: on
-        // arbitrary collections it must answer every probe — stored split,
-        // absent split, full Algorithm-2 average — exactly like the live
-        // hashbrown map it was frozen from.
+        // arbitrary collections it must hold every count of the live
+        // hashbrown map it was frozen from, and score every query — the
+        // full Algorithm-2 average — exactly like Day's oracle.
         let refs = collection(n, r, seed, coalescent);
         let queries = collection(n, q, seed ^ 21, !coalescent);
         let bfh = Bfh::build(&refs.trees, &refs.taxa);
@@ -459,17 +467,14 @@ proptest! {
         for (bits, count) in bfh.iter() {
             prop_assert_eq!(frozen.frequency(bits), count);
         }
-        let mut scratch = BipartitionScratch::new();
-        for qt in &queries.trees {
-            let live = bfhrf::bfhrf_average(qt, &refs.taxa, &bfh);
-            // batched kernel and generic SplitFrequency path both agree
-            prop_assert_eq!(frozen.average_scratch(qt, &refs.taxa, &mut scratch), live);
-            prop_assert_eq!(bfhrf::rf::bfhrf_average_with(qt, &refs.taxa, &frozen), live);
-        }
-        // through the Comparator API, sequential and parallel, against the
-        // independent Day oracle
+        // the batched kernel, per query, against the independent Day oracle
         let day = DayComparator::new(&refs.trees, &refs.taxa);
         let oracle = day.average_all(&queries.trees).unwrap();
+        let mut scratch = BipartitionScratch::new();
+        for (qt, o) in queries.trees.iter().zip(&oracle) {
+            prop_assert_eq!(frozen.average_scratch(qt, &refs.taxa, &mut scratch), o.rf);
+        }
+        // and through the Comparator API, sequential and parallel
         for par in [false, true] {
             let got = FrozenComparator::new(&frozen, &refs.taxa)
                 .parallel(par)
@@ -497,11 +502,12 @@ proptest! {
         for (bits, count) in bfh.iter() {
             prop_assert_eq!(frozen.frequency(bits), count);
         }
+        let day = DayComparator::new(&refs.trees, &refs.taxa);
         let mut scratch = BipartitionScratch::new();
         for qt in &queries.trees {
             prop_assert_eq!(
                 frozen.average_scratch(qt, &refs.taxa, &mut scratch),
-                bfhrf::bfhrf_average(qt, &refs.taxa, &bfh),
+                day.average(qt).unwrap(),
                 "width {}", n
             );
         }
@@ -529,7 +535,7 @@ proptest! {
         let mut scratch = BipartitionScratch::new();
         for qt in &queries.trees {
             let batch = scratch.batch_splits(qt, &refs.taxa);
-            prop_assert_eq!(frozen.frequency_sum_batch(&batch), live_sum(&bfh, n, &batch));
+            prop_assert_eq!(frozen.frequency_sum_batch(&batch), live_sum(&bfh, &batch));
         }
     }
 
@@ -562,7 +568,7 @@ proptest! {
             let batch = scratch.batch_splits(qt, &refs.taxa);
             prop_assert_eq!(
                 frozen.frequency_sum_batch(&batch),
-                live_sum(&bfh, n, &batch),
+                live_sum(&bfh, &batch),
                 "width {}", n
             );
         }
@@ -576,8 +582,10 @@ proptest! {
     ) {
         let refs = collection(n, r, seed, true);
         let queries = collection(n, 3, seed ^ 11, true);
-        let bfh = Bfh::build(&refs.trees, &refs.taxa);
-        let batch = bfhrf_all(&queries.trees, &refs.taxa, &bfh).unwrap();
+        let frozen = Bfh::build(&refs.trees, &refs.taxa).freeze();
+        let batch = FrozenComparator::new(&frozen, &refs.taxa)
+            .average_all(&queries.trees)
+            .unwrap();
         // serialize queries, stream them back through the same namespace
         let mut text = String::new();
         for t in &queries.trees {
@@ -585,19 +593,15 @@ proptest! {
             text.push('\n');
         }
         let mut taxa = refs.taxa.clone();
-        let streamed = bfhrf::rf::bfhrf_streaming(text.as_bytes(), &mut taxa, &bfh).unwrap();
+        let streamed = bfhrf::rf::bfhrf_streaming(text.as_bytes(), &mut taxa, &frozen).unwrap();
         prop_assert_eq!(batch, streamed);
     }
 }
 
-/// Acceptance fixture: on a ≥1000-tree collection the sharded build is
-/// **bitwise-identical** to the sequential build — same distinct splits,
-/// same frequency for every mask, in both directions, for several shard
-/// counts.
-/// Acceptance fixture: on a ≥1000-tree collection the frozen table answers
-/// exactly like the live hash — per-split, per-query, through every derived
-/// RF variant (total, average, halved, normalized), and through both
-/// comparators sequential and parallel against the Day oracle.
+/// Acceptance fixture: on a ≥1000-tree collection the frozen table holds
+/// exactly the live hash's counts, and scores like the Day oracle —
+/// per query, through every derived RF variant (total, average, halved,
+/// normalized), and through the comparator sequential and parallel.
 #[test]
 fn frozen_matches_live_on_thousand_tree_collection() {
     let mut spec = DatasetSpec::new("frozen-acceptance", 20, 1000, 0xf20e);
@@ -612,24 +616,24 @@ fn frozen_matches_live_on_thousand_tree_collection() {
     for (bits, count) in bfh.iter() {
         assert_eq!(frozen.frequency(bits), count);
     }
+    let oracle = DayComparator::new(&refs.trees, &refs.taxa)
+        .average_all(&queries.trees)
+        .unwrap();
     let mut scratch = BipartitionScratch::new();
-    for qt in &queries.trees {
-        let live = bfhrf::bfhrf_average(qt, &refs.taxa, &bfh);
+    for (qt, o) in queries.trees.iter().zip(&oracle) {
+        let day = o.rf;
         let frz = frozen.average_scratch(qt, &refs.taxa, &mut scratch);
-        assert_eq!(frz, live);
-        assert_eq!(frz.total(), live.total());
-        assert!((frz.average() - live.average()).abs() < 1e-12);
-        assert!((frz.average_halved() - live.average_halved()).abs() < 1e-12);
+        assert_eq!(frz, day);
+        assert_eq!(frz.total(), day.total());
+        assert!((frz.average() - day.average()).abs() < 1e-12);
+        assert!((frz.average_halved() - day.average_halved()).abs() < 1e-12);
         assert!(
             (bfhrf::variants::normalized_average(&frz, 20)
-                - bfhrf::variants::normalized_average(&live, 20))
+                - bfhrf::variants::normalized_average(&day, 20))
             .abs()
                 < 1e-12
         );
     }
-    let oracle = DayComparator::new(&refs.trees, &refs.taxa)
-        .average_all(&queries.trees)
-        .unwrap();
     for par in [false, true] {
         assert_eq!(
             FrozenComparator::new(&frozen, &refs.taxa)
@@ -639,16 +643,13 @@ fn frozen_matches_live_on_thousand_tree_collection() {
             oracle,
             "frozen comparator, parallel={par}"
         );
-        assert_eq!(
-            BfhrfComparator::new(&bfh, &refs.taxa)
-                .parallel(par)
-                .average_all(&queries.trees)
-                .unwrap(),
-            oracle,
-            "live comparator, parallel={par}"
-        );
     }
 }
+
+/// Acceptance fixture: on a ≥1000-tree collection the sharded build is
+/// **bitwise-identical** to the sequential build — same distinct splits,
+/// same frequency for every mask, in both directions, for several shard
+/// counts.
 
 #[test]
 fn sharded_build_identical_on_thousand_tree_collection() {

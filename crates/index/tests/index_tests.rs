@@ -74,10 +74,10 @@ proptest! {
 
         // Identical average-RF answers on an independent query set.
         let queries = random_collection(n, 3, seed.wrapping_add(99));
-        let before = bfhrf::BfhrfComparator::new(&bfh, &coll.taxa)
+        let before = bfhrf::FrozenComparator::from_owned(bfh.freeze(), &coll.taxa)
             .average_all(&queries.trees)
             .unwrap();
-        let after = bfhrf::BfhrfComparator::new(&snap.bfh, &snap.taxa)
+        let after = bfhrf::FrozenComparator::from_owned(snap.bfh.freeze(), &snap.taxa)
             .average_all(&queries.trees)
             .unwrap();
         for (x, y) in before.iter().zip(after.iter()) {

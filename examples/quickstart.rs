@@ -5,7 +5,7 @@
 //! cargo run --example quickstart
 //! ```
 
-use bfhrf::{best_query, bfhrf_all, Bfh};
+use bfhrf::{best_query, Bfh, Comparator, FrozenComparator};
 use phylo::{read_trees_from_str, TaxaPolicy, TreeCollection};
 
 fn main() {
@@ -38,8 +38,10 @@ fn main() {
         bfh.n_trees()
     );
 
-    // 2. One tree-vs-hash comparison per query.
-    let scores = bfhrf_all(&queries, &refs.taxa, &bfh).expect("nonempty inputs");
+    // 2. Freeze it into the probe table; one tree-vs-hash pass per query.
+    let scores = FrozenComparator::from_owned(bfh.freeze(), &refs.taxa)
+        .average_all(&queries)
+        .expect("nonempty inputs");
     for s in &scores {
         println!(
             "query {}: average RF = {:.4} (total {}, left {}, right {})",

@@ -13,7 +13,7 @@
 use bfhrf::variants::{
     branch_score, normalized_average, GeneralizedRf, PhyloInfoWeight, SizeFilteredRf, UnitWeight,
 };
-use bfhrf::{bfhrf_average, Bfh};
+use bfhrf::{Bfh, Comparator, FrozenComparator};
 use phylo::{read_trees_from_str, TaxaPolicy, TreeCollection};
 
 fn main() {
@@ -35,7 +35,9 @@ fn main() {
     let bfh = Bfh::build(&refs.trees, &refs.taxa);
 
     // Plain, halved, normalized — the conventions §II.C mentions.
-    let rf = bfhrf_average(&query, &refs.taxa, &bfh);
+    let rf = FrozenComparator::from_owned(bfh.freeze(), &refs.taxa)
+        .average(&query)
+        .expect("query shares the namespace");
     println!("average RF             : {:.4}", rf.average());
     println!("average RF / 2         : {:.4}", rf.average_halved());
     println!("normalized to [0,1]    : {:.4}", normalized_average(&rf, n));
@@ -55,9 +57,8 @@ fn main() {
     // Bipartition-size filtering — the variant the paper implements.
     let cherries_only = SizeFilteredRf::new(&refs.trees, &refs.taxa, 2, 2);
     println!(
-        "cherry-splits only     : {:.4}  ({} splits kept in the hash)",
-        cherries_only.average(&query, &refs.taxa).average(),
-        cherries_only.bfh().distinct()
+        "cherry-splits only     : {:.4}",
+        cherries_only.average(&query, &refs.taxa).average()
     );
 
     // Variable taxa: a second collection missing taxon h entirely.

@@ -12,7 +12,7 @@
 //! cargo run --release --example species_tree_search
 //! ```
 
-use bfhrf::{best_query, BfhBuilder, BfhrfComparator, Comparator};
+use bfhrf::{best_query, BfhBuilder, Comparator, FrozenComparator};
 use phylo_sim::coalescent::MscSimulator;
 use phylo_sim::perturb::nni_walk;
 use phylo_sim::species::kingman_species_tree;
@@ -46,7 +46,7 @@ fn main() {
         .shards(8)
         .from_trees(&genes.trees, &genes.taxa)
         .expect("gene trees live in their own namespace");
-    let scores = BfhrfComparator::new(&bfh, &genes.taxa)
+    let scores = FrozenComparator::from_owned(bfh.freeze(), &genes.taxa)
         .parallel(true)
         .average_all(&candidates)
         .expect("nonempty");

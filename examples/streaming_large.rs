@@ -57,10 +57,12 @@ fn main() {
         bfh.approx_bytes() as f64 / 1e6
     );
 
-    // Phase 2: stream the queries (same file — Q is R) against the hash.
+    // Phase 2: freeze, drop the live map, stream the queries (Q is R).
     let t1 = Instant::now();
+    let frozen = bfh.freeze();
+    drop(bfh);
     let file = std::fs::File::open(&path).expect("open queries");
-    let scores = bfhrf_streaming(BufReader::new(file), &mut taxa, &bfh).expect("score queries");
+    let scores = bfhrf_streaming(BufReader::new(file), &mut taxa, &frozen).expect("score queries");
     let mean: f64 = scores.iter().map(|s| s.rf.average()).sum::<f64>() / scores.len() as f64;
     println!(
         "scored {} queries in {:.2}s; mean average RF = {:.3}",

@@ -228,3 +228,54 @@ fn cli_surfaces_parse_errors_with_location() {
     assert!(err.contains("parse error"), "got: {err}");
     std::fs::remove_file(&bad).ok();
 }
+
+#[test]
+fn mem_budget_covers_the_frozen_table_not_just_the_build() {
+    use bfhrf_cli::{run_full, EXIT_BUDGET, EXIT_OK};
+    // Uniform trees share few splits, so the frozen table (two 17-byte
+    // slots per distinct split, plus the mask pool) is several times the
+    // build's r·(n−3)·8-byte spill buffers. A budget between the two
+    // passes the build; the freeze must still be refused, typed, exit 3.
+    let dir = workdir();
+    let data = dir.join("cli-freeze-budget.nwk");
+    let coll = phylo_sim::perturb::random_collection(32, 400, 23);
+    phylo_sim::datasets::write_collection(&data, &coll).unwrap();
+    let n = coll.taxa.len();
+    let spill = coll.len() * (n - 3) * 8;
+    let distinct = bfhrf::Bfh::build(&coll.trees, &coll.taxa).distinct();
+    let table = bfhrf::FrozenBfh::bytes_for(n, distinct);
+    assert!(2 * spill < table, "spill {spill} vs table {table}");
+
+    let argv = |budget: usize, algorithm: &str| -> Vec<String> {
+        let budget = budget.to_string();
+        let parts = [
+            "avgrf",
+            "--refs",
+            data.to_str().unwrap(),
+            "--mem-budget",
+            &budget,
+        ];
+        let mut v: Vec<String> = parts.iter().map(|s| s.to_string()).collect();
+        v.extend(["--algorithm".to_string(), algorithm.to_string()]);
+        v
+    };
+    let between = (spill + table) / 2;
+    // bfhrf and bfhrf-seq freeze after their build; hashrf degrades to the
+    // same build + freeze under the same budget.
+    for algorithm in ["bfhrf", "bfhrf-seq", "hashrf"] {
+        let err = run_full(&argv(between, algorithm)).unwrap_err();
+        assert_eq!(err.code, EXIT_BUDGET, "{algorithm}: {}", err.message);
+        assert!(
+            err.message.contains("resource limit") && err.message.contains("frozen"),
+            "{algorithm}: {}",
+            err.message
+        );
+    }
+    // At the table's own size the run goes through and answers as if
+    // unbudgeted.
+    let free = run(&["avgrf", "--refs", data.to_str().unwrap()]).unwrap();
+    let ok = run_full(&argv(table, "bfhrf")).unwrap();
+    assert_eq!(ok.code, EXIT_OK);
+    assert_eq!(ok.stdout, free);
+    std::fs::remove_file(&data).ok();
+}

@@ -2,7 +2,7 @@
 //! analysis, with every algorithm agreeing along the way.
 
 use bfhrf::{
-    best_query, bfhrf_all, day_rf, Bfh, BfhBuilder, BfhrfComparator, Comparator, HashRf,
+    best_query, day_rf, Bfh, BfhBuilder, Comparator, DayComparator, FrozenComparator, HashRf,
     HashRfConfig,
 };
 use phylo::{BipartitionSet, TaxaPolicy, TaxonSet};
@@ -28,8 +28,10 @@ fn simulate_write_read_analyze() {
     assert_eq!(reloaded.taxa.len(), 24);
 
     // all four implementations agree on the reloaded data (Q is R)
-    let bfh = Bfh::build(&reloaded.trees, &reloaded.taxa);
-    let fast = bfhrf_all(&reloaded.trees, &reloaded.taxa, &bfh).unwrap();
+    let frozen = Bfh::build(&reloaded.trees, &reloaded.taxa).freeze();
+    let fast = FrozenComparator::new(&frozen, &reloaded.taxa)
+        .average_all(&reloaded.trees)
+        .unwrap();
     let slow = bfhrf::sequential_rf(&reloaded.trees, &reloaded.trees, &reloaded.taxa).unwrap();
     assert_eq!(fast, slow);
     let h = HashRf::compute(&reloaded.trees, &reloaded.taxa, &HashRfConfig::default()).unwrap();
@@ -70,13 +72,14 @@ fn streaming_file_analysis_matches_in_memory() {
     let streamed = bfhrf::rf::bfhrf_streaming(
         BufReader::new(std::fs::File::open(&path).unwrap()),
         &mut taxa,
-        &bfh_streamed,
+        &bfh_streamed.freeze(),
     )
     .unwrap();
 
-    // in-memory reference result
-    let bfh = Bfh::build(&coll.trees, &coll.taxa);
-    let batch = bfhrf_all(&coll.trees, &coll.taxa, &bfh).unwrap();
+    // in-memory reference result, from Day's oracle
+    let batch = DayComparator::new(&coll.trees, &coll.taxa)
+        .average_all(&coll.trees)
+        .unwrap();
 
     assert_eq!(batch.len(), streamed.len());
     for (a, b) in batch.iter().zip(&streamed) {
@@ -107,7 +110,7 @@ fn species_tree_recovery_under_low_ils() {
     for k in 1..10 {
         candidates.push(nni_walk(&species, k, &mut rng));
     }
-    let scores = BfhrfComparator::new(&bfh, &genes.taxa)
+    let scores = FrozenComparator::from_owned(bfh.freeze(), &genes.taxa)
         .parallel(true)
         .average_all(&candidates)
         .unwrap();
@@ -166,9 +169,15 @@ fn incremental_hash_tracks_live_collection() {
         let direct = Bfh::build(window, &coll.taxa);
         assert_eq!(bfh.sum(), direct.sum(), "window at step {step}");
         assert_eq!(bfh.distinct(), direct.distinct());
-        // spot-check a query against both
-        let a = bfhrf::bfhrf_average(&coll.trees[0], &coll.taxa, &bfh);
-        let b = bfhrf::bfhrf_average(&coll.trees[0], &coll.taxa, &direct);
+        // spot-check a query against both, and against Day's oracle
+        let a = FrozenComparator::from_owned(bfh.freeze(), &coll.taxa)
+            .average(&coll.trees[0])
+            .unwrap();
+        let b = FrozenComparator::from_owned(direct.freeze(), &coll.taxa)
+            .average(&coll.trees[0])
+            .unwrap();
         assert_eq!(a, b);
+        let day = DayComparator::new(window, &coll.taxa);
+        assert_eq!(a, day.average(&coll.trees[0]).unwrap());
     }
 }

@@ -1,8 +1,18 @@
 //! Medium-scale smoke tests: the properties the paper's evaluation rests
 //! on must already be visible at test-suite-friendly sizes.
 
-use bfhrf::{bfhrf_all, Bfh, Comparator, SetComparator};
+use bfhrf::{Bfh, Comparator, FrozenComparator, QueryScore, SetComparator};
+use phylo::{TaxonSet, Tree};
 use phylo_sim::DatasetSpec;
+
+/// BFHRF scores of `queries`: freeze `bfh`, then score in parallel — the
+/// path `bfhrf avgrf` runs.
+fn bfhrf_scores(bfh: &Bfh, taxa: &TaxonSet, queries: &[Tree]) -> Vec<QueryScore> {
+    FrozenComparator::from_owned(bfh.freeze(), taxa)
+        .parallel(true)
+        .average_all(queries)
+        .unwrap()
+}
 
 /// §VII.C: the number of distinct splits saturates as r grows (repeat
 /// splits only bump counters), while sumBFHR grows linearly.
@@ -40,7 +50,7 @@ fn self_average_tracks_discordance() {
         spec.pop_scale = pop_scale;
         let coll = phylo_sim::generate(&spec);
         let bfh = Bfh::build(&coll.trees, &coll.taxa);
-        let scores = bfhrf_all(&coll.trees, &coll.taxa, &bfh).unwrap();
+        let scores = bfhrf_scores(&bfh, &coll.taxa, &coll.trees);
         scores.iter().map(|s| s.rf.average()).sum::<f64>() / scores.len() as f64
     };
     let low = mean_self(1e-4);
@@ -58,7 +68,7 @@ fn self_average_tracks_discordance() {
 fn medium_scale_exact_agreement() {
     let coll = phylo_sim::generate(&DatasetSpec::new("medium", 50, 400, 17));
     let bfh = Bfh::build_sharded(&coll.trees, &coll.taxa, 8);
-    let fast = bfhrf_all(&coll.trees, &coll.taxa, &bfh).unwrap();
+    let fast = bfhrf_scores(&bfh, &coll.taxa, &coll.trees);
     let slow = SetComparator::new(&coll.trees, &coll.taxa)
         .parallel(true)
         .average_all(&coll.trees)
@@ -81,6 +91,6 @@ fn degenerate_duplicate_collection() {
     let bfh = Bfh::build(&trees, &coll.taxa);
     assert_eq!(bfh.distinct(), 17, "n-3 distinct splits");
     assert_eq!(bfh.sum(), 1700);
-    let scores = bfhrf_all(&trees, &coll.taxa, &bfh).unwrap();
+    let scores = bfhrf_scores(&bfh, &coll.taxa, &trees);
     assert!(scores.iter().all(|s| s.rf.total() == 0));
 }

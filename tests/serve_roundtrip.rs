@@ -6,7 +6,7 @@
 //! 2. A served `avgrf` answer over that index is byte-identical to the
 //!    offline `bfhrf avgrf` report on the same files.
 
-use bfhrf::{BfhrfComparator, Comparator as _};
+use bfhrf::{Comparator as _, FrozenComparator};
 use bfhrf_cli::server::{ServeConfig, Server};
 use bfhrf_cli::{run_full, EXIT_OK};
 use phylo::write_newick;
@@ -84,10 +84,10 @@ fn snapshot_load_serves_offline_identical_answers() {
 
     // average_all over the loaded hash matches the in-memory hash exactly
     // (integer RF sums, so equality is well-defined).
-    let from_fresh = BfhrfComparator::new(&fresh, &collection.taxa)
+    let from_fresh = FrozenComparator::from_owned(fresh.freeze(), &collection.taxa)
         .average_all(&query_trees)
         .unwrap();
-    let from_loaded = BfhrfComparator::new(loaded, index.taxa())
+    let from_loaded = FrozenComparator::from_owned(loaded.freeze(), index.taxa())
         .average_all(&query_trees)
         .unwrap();
     assert_eq!(from_fresh.len(), from_loaded.len());
